@@ -6,11 +6,13 @@
 // measurement to place the local machine's memory-bandwidth roofline.
 
 #include <cstdio>
+#include <string>
 
 #include "common/table.h"
 #include "common/vector.h"
 #include "common/timer.h"
 #include "instrumentation/profiler.h"
+#include "instrumentation/solve_stats.h"
 #include "lung/lung_mesh.h"
 #include "mesh/generators.h"
 
@@ -83,6 +85,17 @@ inline double measure_stream_bandwidth(const unsigned int n_threads = 1)
   if (n_threads > 1)
     pool.set_n_threads(saved);
   return 3. * n * sizeof(double) / t;
+}
+
+/// A solve's iteration count as a bench prints it: the count of a converged
+/// solve, FAILED(<reason>@<iterations>) otherwise — a failed solve is never
+/// reported as an iteration count.
+inline std::string iterations_or_failure(const SolveStats &stats)
+{
+  if (stats.converged)
+    return std::to_string(stats.iterations);
+  return std::string("FAILED(") + to_string(stats.failure) + "@" +
+         std::to_string(stats.iterations) + ")";
 }
 
 inline void print_header(const char *title, const char *paper_ref)

@@ -5,17 +5,26 @@
 // single-threaded sweep — the determinism contract of the thread-parallel
 // cell loops (docs/DEVELOPING.md, "Shared-memory parallel loops").
 //
-// The speedup columns report honest wall-clock measurements of THIS
-// machine; on a single-core container the threaded sweeps time-slice one
-// core and the speedup saturates at ~1x — the bitwise check is the
-// correctness gate, the scaling numbers document the hardware.
+// The speedup columns are wall-clock measurements of the machine the bench
+// runs on, which it reports as its hardware concurrency (the reference host
+// is a 4-core AVX-512 VM); the bitwise check is the correctness gate, the
+// scaling numbers document the hardware.
+//
+// A second, informational section measures the pool's fork-join cost: the
+// p50/p90 wall time of one run_chunks(4, .) region whose chunks each do
+// about 2, 16 or 40 us of work, against the same four chunks run serially.
+// The solver's pressure V-cycle and Krylov vector updates are made of such
+// short regions, so this is what decides whether they scale at all.
 //
 // Machine-readable output: when DGFLOW_BENCH_JSON is set, the results are
-// archived as JSON (schema dgflow-bench-threads-v1); run_benchmarks.sh
-// stores it as bench_results/BENCH_threads.json. The fast --smoke variant
-// (also run under `ctest -L perf`) shrinks the mesh and repetitions to
-// verify harness and bitwise gate end to end.
+// archived as JSON (schema dgflow-bench-threads-v1, fork-join rows under
+// "fork_join"); run_benchmarks.sh stores it as
+// bench_results/BENCH_threads.json. The fast --smoke variant (also run under
+// `ctest -L perf`) shrinks the mesh and repetitions to verify harness and
+// bitwise gate end to end.
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -44,6 +53,74 @@ struct Result
   bool bitwise;   ///< memcmp-equal to the 1-thread result
 };
 
+/// Fork-join latency of one region size (seconds per region).
+struct ForkJoinResult
+{
+  double chunk_us;      ///< nominal work per chunk
+  double pool_p50, pool_p90;
+  double serial_p50, serial_p90;
+};
+
+/// Dependent floating-point recurrence: @p iterations steps take a fixed
+/// time on a given core and cannot be vectorized or elided.
+double busy_work(const unsigned int iterations, const double seed)
+{
+  double x = seed;
+  for (unsigned int i = 0; i < iterations; ++i)
+    x = x * 0.999999 + 1e-7;
+  return x;
+}
+
+double percentile(std::vector<double> v, const double q)
+{
+  std::sort(v.begin(), v.end());
+  return v[std::min(v.size() - 1, std::size_t(q * double(v.size())))];
+}
+
+/// Times run_chunks(4, .) on a 4-wide pool against the four chunks run
+/// inline, for chunks of about @p chunk_us microseconds each.
+ForkJoinResult measure_fork_join(const double chunk_us,
+                                 const unsigned int repetitions)
+{
+  using Clock = std::chrono::steady_clock;
+  const auto seconds_of = [](const Clock::duration d) {
+    return std::chrono::duration<double>(d).count();
+  };
+  // calibrate the iteration count of one chunk on this thread
+  unsigned int iterations = 1000;
+  volatile double sink = 0;
+  for (int round = 0; round < 3; ++round)
+  {
+    const auto t0 = Clock::now();
+    sink = sink + busy_work(iterations, 1.);
+    const double s = seconds_of(Clock::now() - t0);
+    iterations = std::max(1u, unsigned(double(iterations) * chunk_us * 1e-6 /
+                                       std::max(s, 1e-9)));
+  }
+
+  auto &pool = concurrency::ThreadPool::instance();
+  double out[4];
+  const auto chunk = [&](const unsigned int c) {
+    out[c] = busy_work(iterations, 1. + c);
+  };
+  std::vector<double> pool_s, serial_s;
+  pool_s.reserve(repetitions);
+  serial_s.reserve(repetitions);
+  for (unsigned int r = 0; r < repetitions; ++r)
+  {
+    auto t0 = Clock::now();
+    pool.run_chunks(4, chunk);
+    pool_s.push_back(seconds_of(Clock::now() - t0));
+    t0 = Clock::now();
+    for (unsigned int c = 0; c < 4; ++c)
+      chunk(c);
+    serial_s.push_back(seconds_of(Clock::now() - t0));
+  }
+  sink = sink + out[0] + out[3];
+  return {chunk_us, percentile(pool_s, 0.5), percentile(pool_s, 0.9),
+          percentile(serial_s, 0.5), percentile(serial_s, 0.9)};
+}
+
 bool bitwise_equal(const Vector<double> &a, const Vector<double> &b)
 {
   return a.size() == b.size() &&
@@ -51,6 +128,7 @@ bool bitwise_equal(const Vector<double> &a, const Vector<double> &b)
 }
 
 void write_json(const char *path, const std::vector<Result> &results,
+                const std::vector<ForkJoinResult> &fork_join,
                 const double vmult_speedup4, const double cg_speedup4,
                 const bool all_bitwise, const bool smoke)
 {
@@ -80,6 +158,17 @@ void write_json(const char *path, const std::vector<Result> &results,
                  r.name.c_str(), r.n_threads, r.n_dofs, r.seconds,
                  r.dofs_per_s, r.speedup, r.bitwise ? "true" : "false",
                  i + 1 < results.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"fork_join\": [\n");
+  for (std::size_t i = 0; i < fork_join.size(); ++i)
+  {
+    const ForkJoinResult &r = fork_join[i];
+    std::fprintf(f,
+                 "    {\"chunks\": 4, \"chunk_us\": %.3g, "
+                 "\"pool_p50_s\": %.6e, \"pool_p90_s\": %.6e, "
+                 "\"serial_p50_s\": %.6e, \"serial_p90_s\": %.6e}%s\n",
+                 r.chunk_us, r.pool_p50, r.pool_p90, r.serial_p50,
+                 r.serial_p90, i + 1 < fork_join.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -204,8 +293,29 @@ int main(int argc, char **argv)
                   Table::format(it_per_s, 2), Table::format(rc.speedup, 2),
                   rv.bitwise && rc.bitwise ? "yes" : "NO");
   }
-  pool.set_n_threads(pool_width0);
   table.print();
+
+  // fork-join latency of one 4-chunk region (informational, not a gate)
+  pool.set_n_threads(4);
+  std::vector<ForkJoinResult> fork_join;
+  Table fj_table({"chunk [us]", "pool p50 [us]", "pool p90 [us]",
+                  "serial p50 [us]", "serial p90 [us]", "p50 speedup"});
+  for (const double chunk_us : {2., 16., 40.})
+  {
+    const unsigned int reps = smoke ? 50 : unsigned(20000 / chunk_us);
+    const ForkJoinResult r = measure_fork_join(chunk_us, reps);
+    fork_join.push_back(r);
+    fj_table.add_row(Table::format(chunk_us, 2),
+                     Table::format(r.pool_p50 * 1e6, 3),
+                     Table::format(r.pool_p90 * 1e6, 3),
+                     Table::format(r.serial_p50 * 1e6, 3),
+                     Table::format(r.serial_p90 * 1e6, 3),
+                     Table::format(r.serial_p50 / r.pool_p50, 2));
+  }
+  pool.set_n_threads(pool_width0);
+  std::printf("\nfork-join latency, run_chunks(4, .) at 4 threads vs the "
+              "same 4 chunks serially:\n");
+  fj_table.print();
 
   std::printf("\nbitwise determinism gate: %s\n",
               all_bitwise ? "PASS (all threaded results memcmp-equal to "
@@ -217,8 +327,8 @@ int main(int argc, char **argv)
               cg_speedup4);
 
   if (const char *path = std::getenv("DGFLOW_BENCH_JSON"))
-    write_json(path, results, vmult_speedup4, cg_speedup4, all_bitwise,
-               smoke);
+    write_json(path, results, fork_join, vmult_speedup4, cg_speedup4,
+               all_bitwise, smoke);
 
   return all_bitwise ? 0 : 1;
 }

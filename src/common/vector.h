@@ -6,6 +6,7 @@
 // (mixed-precision, paper Section 3.4); copy_and_convert() moves data across
 // precisions.
 
+#include <algorithm>
 #include <cmath>
 #include <type_traits>
 #include <utility>
@@ -69,6 +70,24 @@ public:
 
   Vector() = default;
   explicit Vector(const std::size_t n) { reinit(n); }
+  Vector(const Vector &other) { *this = other; }
+  Vector(Vector &&) noexcept = default;
+  Vector &operator=(Vector &&) noexcept = default;
+
+  /// Copies on the pool (elementwise, so bitwise equal to a serial copy).
+  Vector &operator=(const Vector &other)
+  {
+    if (this == &other)
+      return *this;
+    data_.resize_without_init(other.size());
+    Number *DGFLOW_RESTRICT d = data_.data();
+    const Number *DGFLOW_RESTRICT xd = other.data_.data();
+    concurrency::ThreadPool::instance().parallel_for(
+      size(), [&](const std::size_t i0, const std::size_t i1) {
+        std::copy(xd + i0, xd + i1, d + i0);
+      });
+    return *this;
+  }
 
   void reinit(const std::size_t n, const bool fast = false)
   {
@@ -101,7 +120,14 @@ public:
   Number *data() { return data_.data(); }
   const Number *data() const { return data_.data(); }
 
-  void operator=(const Number s) { data_.fill(s); }
+  void operator=(const Number s)
+  {
+    Number *DGFLOW_RESTRICT d = data_.data();
+    concurrency::ThreadPool::instance().parallel_for(
+      size(), [&](const std::size_t i0, const std::size_t i1) {
+        std::fill(d + i0, d + i1, s);
+      });
+  }
 
   /// this += a * x
   void add(const Number a, const Vector &x)
@@ -206,8 +232,13 @@ public:
   void copy_and_convert(const Vector<Number2> &x)
   {
     data_.resize_without_init(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i)
-      data_[i] = Number(x[i]);
+    Number *DGFLOW_RESTRICT d = data_.data();
+    const Number2 *DGFLOW_RESTRICT xd = x.data();
+    concurrency::ThreadPool::instance().parallel_for(
+      size(), [&](const std::size_t i0, const std::size_t i1) {
+        for (std::size_t i = i0; i < i1; ++i)
+          d[i] = Number(xd[i]);
+      });
   }
 
   void swap(Vector &other) { std::swap(data_, other.data_); }

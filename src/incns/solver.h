@@ -16,6 +16,7 @@
 // time-integration state can be checkpointed to a versioned, checksummed
 // binary file and restored for an exact (bit-for-bit) resume.
 
+#include <algorithm>
 #include <limits>
 
 #include "common/timer.h"
@@ -215,29 +216,39 @@ public:
   {
     if (prm_.fixed_dt > 0)
       return prm_.fixed_dt;
-    double min_h_over_u = 1e300;
-    FEEvaluation<Number, 3> phi(mf_, u_space, quad_u);
-    for (unsigned int b = 0; b < mf_.n_cell_batches(); ++b)
-    {
-      phi.reinit(b);
-      phi.read_dof_values(u_);
-      // collocated: dof values are the point values
-      VA max_u(Number(0));
-      for (unsigned int q = 0; q < phi.n_q_points; ++q)
+    // per-chunk minima on the pool: the minimum does not depend on the
+    // order, so the result is the serial scan's at any thread count
+    std::vector<double> chunk_min(n_cell_batch_chunks(mf_), 1e300);
+    for_each_cell_batch_chunk(mf_, [&](const unsigned int c,
+                                       const unsigned int b0,
+                                       const unsigned int b1) {
+      FEEvaluation<Number, 3> phi(mf_, u_space, quad_u);
+      double min_h_over_u = 1e300;
+      for (unsigned int b = b0; b < b1; ++b)
       {
-        Tensor1<VA> v;
-        for (unsigned int c = 0; c < dim; ++c)
-          v[c] = phi.begin_dof_values()[c * phi.dofs_per_component + q];
-        max_u = max(max_u, sqrt(dot(v, v)));
+        phi.reinit(b);
+        phi.read_dof_values(u_);
+        // collocated: dof values are the point values
+        VA max_u(Number(0));
+        for (unsigned int q = 0; q < phi.n_q_points; ++q)
+        {
+          Tensor1<VA> v;
+          for (unsigned int d = 0; d < dim; ++d)
+            v[d] = phi.begin_dof_values()[d * phi.dofs_per_component + q];
+          max_u = max(max_u, sqrt(dot(v, v)));
+        }
+        const VA h = mf_.cell_width()[b];
+        for (unsigned int l = 0; l < phi.n_filled_lanes(); ++l)
+        {
+          const double hu =
+            double(h[l]) / std::max(1e-12, double(max_u[l]));
+          min_h_over_u = std::min(min_h_over_u, hu);
+        }
       }
-      const VA h = mf_.cell_width()[b];
-      for (unsigned int l = 0; l < phi.n_filled_lanes(); ++l)
-      {
-        const double hu =
-          double(h[l]) / std::max(1e-12, double(max_u[l]));
-        min_h_over_u = std::min(min_h_over_u, hu);
-      }
-    }
+      chunk_min[c] = min_h_over_u;
+    });
+    const double min_h_over_u =
+      *std::min_element(chunk_min.begin(), chunk_min.end());
     const TimeStepControl control(prm_.cfl, prm_.degree);
     return std::min(prm_.max_dt, control.next(min_h_over_u, dt_prev_));
   }
@@ -257,7 +268,7 @@ public:
     double dt = compute_time_step();
     DGFLOW_ASSERT(dt > 0, "vanishing time step");
 
-    const StateSnapshot snapshot = save_state();
+    save_state();
     StepInfo info;
     for (unsigned int attempt = 0;; ++attempt)
     {
@@ -268,10 +279,10 @@ public:
       DGFLOW_PROF_COUNT("ins_step_rejections", 1);
       DGFLOW_ASSERT(attempt < prm_.max_step_rejections,
                     "time step at t = "
-                      << snapshot.time << " rejected " << (attempt + 1)
+                      << snapshot_.time << " rejected " << (attempt + 1)
                       << " times (last failure: " << info.failed_stage
                       << "); giving up at dt = " << dt);
-      restore_state(snapshot);
+      restore_state();
       dt *= 0.5;
     }
     info.wall_time = total.seconds();
@@ -370,7 +381,13 @@ private:
       rhs_u_.scale(mass_factor);
       helmholtz_.add_boundary_rhs(rhs_u_, t_new, prm_.velocity_neumann_data);
 
-      viscous_jacobi_.reinit(combined_viscous_diagonal(mass_factor));
+      // the diagonal is affine in the mass factor: one pass builds the
+      // inverse of mass_factor * diag(M) + diag(A)
+      const Number *DGFLOW_RESTRICT dm = diag_mass_.data();
+      const Number *DGFLOW_RESTRICT dv = diag_viscous_.data();
+      viscous_jacobi_.reinit(diag_viscous_.size(), [=](const std::size_t i) {
+        return mass_factor * dm[i] + dv[i];
+      });
       work_u_ = u_hat_; // initial guess
       SolverControl control;
       control.max_iterations = 1000;
@@ -637,22 +654,34 @@ public:
 
 private:
   /// Everything try_step may mutate before committing the step, so a
-  /// rejected attempt can be rolled back exactly.
+  /// rejected attempt can be rolled back exactly. Kept as a member so the
+  /// per-step copies reuse their storage; the vector copies run on the pool.
   struct StateSnapshot
   {
     VectorType u, u_old, p, p_old, conv, conv_old, vort, vort_old;
-    double time, dt_prev;
-    unsigned long step_count;
+    double time = 0, dt_prev = 0;
+    unsigned long step_count = 0;
   };
 
-  StateSnapshot save_state() const
+  void save_state()
   {
-    return StateSnapshot{u_,    u_old_,    p_,    p_old_,   conv_, conv_old_,
-                         vort_, vort_old_, time_, dt_prev_, step_count_};
+    StateSnapshot &s = snapshot_;
+    s.u = u_;
+    s.u_old = u_old_;
+    s.p = p_;
+    s.p_old = p_old_;
+    s.conv = conv_;
+    s.conv_old = conv_old_;
+    s.vort = vort_;
+    s.vort_old = vort_old_;
+    s.time = time_;
+    s.dt_prev = dt_prev_;
+    s.step_count = step_count_;
   }
 
-  void restore_state(const StateSnapshot &s)
+  void restore_state()
   {
+    const StateSnapshot &s = snapshot_;
     u_ = s.u;
     u_old_ = s.u_old;
     p_ = s.p;
@@ -675,35 +704,30 @@ private:
     }
   };
 
-  Vector<Number> combined_viscous_diagonal(const Number mass_factor) const
-  {
-    Vector<Number> diag(diag_viscous_.size());
-    for (std::size_t i = 0; i < diag.size(); ++i)
-      diag[i] = mass_factor * diag_mass_[i] + diag_viscous_[i];
-    return diag;
-  }
-
   /// Projects the vorticity curl(u) onto the velocity space (collocated
   /// nodal evaluation), used by the consistent pressure Neumann condition.
   void compute_vorticity(VectorType &w, const VectorType &u) const
   {
     w.reinit(mf_.n_dofs(u_space, 3), true);
-    FEEvaluation<Number, 3> phi(mf_, u_space, quad_u);
-    const unsigned int npc = phi.dofs_per_component;
-    for (unsigned int b = 0; b < mf_.n_cell_batches(); ++b)
-    {
-      phi.reinit(b);
-      phi.read_dof_values(u);
-      phi.evaluate(false, true);
-      for (unsigned int q = 0; q < phi.n_q_points; ++q)
+    for_each_cell_batch_chunk(mf_, [&](unsigned int, const unsigned int b0,
+                                       const unsigned int b1) {
+      FEEvaluation<Number, 3> phi(mf_, u_space, quad_u);
+      const unsigned int npc = phi.dofs_per_component;
+      for (unsigned int b = b0; b < b1; ++b)
       {
-        const Tensor2<VA> g = phi.get_gradient(q);
-        phi.begin_dof_values()[0 * npc + q] = g[2][1] - g[1][2];
-        phi.begin_dof_values()[1 * npc + q] = g[0][2] - g[2][0];
-        phi.begin_dof_values()[2 * npc + q] = g[1][0] - g[0][1];
+        phi.reinit(b);
+        phi.read_dof_values(u);
+        phi.evaluate(false, true);
+        for (unsigned int q = 0; q < phi.n_q_points; ++q)
+        {
+          const Tensor2<VA> g = phi.get_gradient(q);
+          phi.begin_dof_values()[0 * npc + q] = g[2][1] - g[1][2];
+          phi.begin_dof_values()[1 * npc + q] = g[0][2] - g[2][0];
+          phi.begin_dof_values()[2 * npc + q] = g[1][0] - g[0][1];
+        }
+        phi.set_dof_values(w);
       }
-      phi.set_dof_values(w);
-    }
+    });
   }
 
   /// Pressure boundary contributions of Eq. (2): inhomogeneous Dirichlet
@@ -812,6 +836,7 @@ private:
   VectorType vort_, vort_old_;
   VectorType u_hat_, rhs_u_, rhs_p_, work_u_, work_p_;
   VectorType diag_viscous_, diag_mass_;
+  StateSnapshot snapshot_; ///< rollback point of the step in flight
 
   resilience::RecoveringSolver<Number> pressure_solver_;
 

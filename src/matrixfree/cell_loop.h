@@ -44,6 +44,7 @@
 // range (all solver hooks are): they run concurrently on disjoint ranges.
 // Passing NoRangeHook for both slots compiles the scheduling away.
 
+#include <algorithm>
 #include <chrono>
 #include <vector>
 
@@ -391,6 +392,32 @@ void cell_face_loop(const MatrixFree<Number> &mf, VectorType &dst,
     DGFLOW_PROF_COUNT("mf_cell_batches", mf.n_cell_batches());
     DGFLOW_PROF_COUNT("mf_face_batches", n_faces);
   }
+}
+
+/// Runs f(chunk, batch_begin, batch_end) over the cell-batch chunks of the
+/// serial traversal's thread partition, on the pool; a serial partition is
+/// one call f(0, 0, n_cell_batches()). For cell-local sweeps outside the
+/// operator contract (vorticity, penalty parameters, CFL scan): their
+/// writes must be disjoint per batch and any reduction across chunks must
+/// not depend on the order — then the result is bitwise identical to the
+/// serial sweep. n_cell_batch_chunks() sizes per-chunk partial results.
+template <typename Number, typename F>
+void for_each_cell_batch_chunk(const MatrixFree<Number> &mf, F &&f)
+{
+  const auto &chunks = mf.thread_partition(-1).chunks;
+  if (chunks.size() > 1)
+    concurrency::ThreadPool::instance().run_chunks(
+      chunks.size(), [&](const unsigned int c) {
+        f(c, chunks[c].batch_begin, chunks[c].batch_end);
+      });
+  else
+    f(0u, 0u, mf.n_cell_batches());
+}
+
+template <typename Number>
+unsigned int n_cell_batch_chunks(const MatrixFree<Number> &mf)
+{
+  return std::max<unsigned int>(1, mf.thread_partition(-1).chunks.size());
 }
 
 /// Cell-only variant (no face terms, serial vectors): the post hook fires

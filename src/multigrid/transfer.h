@@ -9,7 +9,12 @@
 // constraint expansion; Dirichlet rows/columns are zeroed so level
 // corrections never touch constrained boundary values.
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "amg/sparse_matrix.h"
+#include "concurrency/thread_pool.h"
 #include "fem/polynomial.h"
 #include "matrixfree/matrix_free.h"
 #include "operators/cfe_space.h"
@@ -66,46 +71,66 @@ public:
 
   /// Cell-range variant for distributed levels: fine/coarse point at dense
   /// per-cell dof blocks of n_cells consecutive cells (the owned range of a
-  /// DistributedVector). The transfer is cell-local — no communication.
+  /// DistributedVector). The transfer is cell-local — no communication, and
+  /// the cells are split into contiguous ranges on the pool.
   void prolongate_cells(Number *fine, const Number *coarse,
                         const index_t n_cells) const
   {
     const std::size_t npc_f = nf_ * nf_ * nf_, npc_c = nc_ * nc_ * nc_;
-    const unsigned int mx = std::max(nf_, nc_);
-    std::vector<Number> t1(mx * mx * mx), t2(mx * mx * mx);
-    for (index_t c = 0; c < n_cells; ++c)
-    {
-      const Number *src = coarse + c * npc_c;
-      Number *dst = fine + c * npc_f;
-      apply_matrix_1d<false, false>(P1d_.data(), nf_, nc_, src, t1.data(), 0,
-                                    {{nc_, nc_, nc_}});
-      apply_matrix_1d<false, false>(P1d_.data(), nf_, nc_, t1.data(),
-                                    t2.data(), 1, {{nf_, nc_, nc_}});
-      apply_matrix_1d<false, false>(P1d_.data(), nf_, nc_, t2.data(), dst, 2,
-                                    {{nf_, nf_, nc_}});
-    }
+    for_cell_ranges(n_cells, [&](const index_t c0, const index_t c1) {
+      const unsigned int mx = std::max(nf_, nc_);
+      std::vector<Number> t1(mx * mx * mx), t2(mx * mx * mx);
+      for (index_t c = c0; c < c1; ++c)
+      {
+        const Number *src = coarse + c * npc_c;
+        Number *dst = fine + c * npc_f;
+        apply_matrix_1d<false, false>(P1d_.data(), nf_, nc_, src, t1.data(),
+                                      0, {{nc_, nc_, nc_}});
+        apply_matrix_1d<false, false>(P1d_.data(), nf_, nc_, t1.data(),
+                                      t2.data(), 1, {{nf_, nc_, nc_}});
+        apply_matrix_1d<false, false>(P1d_.data(), nf_, nc_, t2.data(), dst,
+                                      2, {{nf_, nf_, nc_}});
+      }
+    });
   }
 
   void restrict_cells(Number *coarse, const Number *fine,
                       const index_t n_cells) const
   {
     const std::size_t npc_f = nf_ * nf_ * nf_, npc_c = nc_ * nc_ * nc_;
-    const unsigned int mx = std::max(nf_, nc_);
-    std::vector<Number> t1(mx * mx * mx), t2(mx * mx * mx);
-    for (index_t c = 0; c < n_cells; ++c)
-    {
-      const Number *src = fine + c * npc_f;
-      Number *dst = coarse + c * npc_c;
-      apply_matrix_1d<true, false>(P1d_.data(), nf_, nc_, src, t1.data(), 2,
-                                   {{nf_, nf_, nf_}});
-      apply_matrix_1d<true, false>(P1d_.data(), nf_, nc_, t1.data(), t2.data(),
-                                   1, {{nf_, nf_, nc_}});
-      apply_matrix_1d<true, false>(P1d_.data(), nf_, nc_, t2.data(), dst, 0,
-                                   {{nf_, nc_, nc_}});
-    }
+    for_cell_ranges(n_cells, [&](const index_t c0, const index_t c1) {
+      const unsigned int mx = std::max(nf_, nc_);
+      std::vector<Number> t1(mx * mx * mx), t2(mx * mx * mx);
+      for (index_t c = c0; c < c1; ++c)
+      {
+        const Number *src = fine + c * npc_f;
+        Number *dst = coarse + c * npc_c;
+        apply_matrix_1d<true, false>(P1d_.data(), nf_, nc_, src, t1.data(),
+                                     2, {{nf_, nf_, nf_}});
+        apply_matrix_1d<true, false>(P1d_.data(), nf_, nc_, t1.data(),
+                                     t2.data(), 1, {{nf_, nf_, nc_}});
+        apply_matrix_1d<true, false>(P1d_.data(), nf_, nc_, t2.data(), dst,
+                                     0, {{nf_, nc_, nc_}});
+      }
+    });
   }
 
 private:
+  /// f(c0, c1) over a split of [0, n_cells) into one contiguous range per
+  /// pool thread (results do not depend on the split: every cell is
+  /// independent).
+  template <typename F>
+  static void for_cell_ranges(const index_t n_cells, const F &f)
+  {
+    auto &pool = concurrency::ThreadPool::instance();
+    const unsigned int n_chunks = static_cast<unsigned int>(
+      std::min<index_t>(pool.n_threads(), n_cells));
+    pool.run_chunks(n_chunks, [&](const unsigned int ch) {
+      f(index_t(std::uint64_t(n_cells) * ch / n_chunks),
+        index_t(std::uint64_t(n_cells) * (ch + 1) / n_chunks));
+    });
+  }
+
   const MatrixFree<Number> &mf_;
   unsigned int nf_, nc_;
   unsigned int space_f_, space_c_;

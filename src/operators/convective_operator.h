@@ -7,11 +7,16 @@
 //
 // The operator is nonlinear and explicit in time, so it only has the
 // time-dependent apply entry point of the interface documented in
-// operators/README.md (no vmult: there is no linear homogeneous action).
+// operators/README.md (no vmult: there is no linear homogeneous action). It
+// still runs on the shared cell_face_loop: all cells, then all faces in
+// ascending batch order, which is the loop's serial order, so the threaded
+// sweep is bitwise identical to the serial one.
 
 #include <functional>
+#include <memory>
 
 #include "instrumentation/profiler.h"
+#include "matrixfree/cell_loop.h"
 #include "matrixfree/fe_evaluation.h"
 #include "matrixfree/fe_face_evaluation.h"
 #include "operators/boundary.h"
@@ -84,98 +89,107 @@ public:
   }
 
   /// dst = weak form of nabla.(u (x) u) tested with v, at time t (boundary
-  /// data evaluated at t).
+  /// data evaluated at t). Runs on the shared cell/face loop, so boundary
+  /// functions are called from pool threads and must be reentrant.
   void apply(VectorType &dst, const VectorType &src, const double t) const
   {
     DGFLOW_PROF_SCOPE("convective");
-    DGFLOW_PROF_COUNT("mf_cell_batches", mf_->n_cell_batches());
-    DGFLOW_PROF_COUNT("mf_face_batches", mf_->n_face_batches());
     DGFLOW_PROF_COUNT("mf_dofs", src.size() + dst.size());
     DGFLOW_PROF_THROUGHPUT("convective", src.size());
     dst.reinit(mf_->n_dofs(space_, 3), true);
     dst = Number(0);
 
-    FEEvaluation<Number, 3> phi(*mf_, space_, quad_);
-    for (unsigned int b = 0; b < mf_->n_cell_batches(); ++b)
-    {
-      phi.reinit(b);
-      phi.read_dof_values(src);
-      phi.evaluate(true, false);
-      for (unsigned int q = 0; q < phi.n_q_points; ++q)
-      {
-        const Tensor1<VA> u = phi.get_value(q);
-        Tensor2<VA> flux;
-        for (unsigned int i = 0; i < dim; ++i)
-          for (unsigned int j = 0; j < dim; ++j)
-            flux[i][j] = -u[i] * u[j];
-        phi.submit_gradient(flux, q);
-      }
-      phi.integrate(false, true);
-      phi.distribute_local_to_global(dst);
-    }
+    const auto make_kernels = [&, this](auto &dst_v) {
+      auto phi =
+        std::make_shared<FEEvaluation<Number, 3>>(*mf_, space_, quad_);
+      auto phi_m = std::make_shared<FEFaceEvaluation<Number, 3>>(
+        *mf_, space_, quad_, true);
+      auto phi_p = std::make_shared<FEFaceEvaluation<Number, 3>>(
+        *mf_, space_, quad_, false);
 
-    FEFaceEvaluation<Number, 3> phi_m(*mf_, space_, quad_, true);
-    FEFaceEvaluation<Number, 3> phi_p(*mf_, space_, quad_, false);
-    for (unsigned int b = 0; b < mf_->n_inner_face_batches(); ++b)
-    {
-      phi_m.reinit(b);
-      phi_p.reinit(b);
-      phi_m.read_dof_values(src);
-      phi_p.read_dof_values(src);
-      phi_m.evaluate(true, false);
-      phi_p.evaluate(true, false);
-      for (unsigned int q = 0; q < phi_m.n_q_points; ++q)
-      {
-        const Tensor1<VA> um = phi_m.get_value(q);
-        const Tensor1<VA> up = phi_p.get_value(q);
-        const Tensor1<VA> n = phi_m.get_normal_vector(q);
-        const Tensor1<VA> flux = numerical_flux(um, up, n);
-        phi_m.submit_value(flux, q);
-        phi_p.submit_value(-flux, q);
-      }
-      phi_m.integrate(true, false);
-      phi_p.integrate(true, false);
-      phi_m.distribute_local_to_global(dst);
-      phi_p.distribute_local_to_global(dst);
-    }
+      const auto cell = [phi, &dst_v, &src](const unsigned int b) {
+        phi->reinit(b);
+        phi->read_dof_values(src);
+        phi->evaluate(true, false);
+        for (unsigned int q = 0; q < phi->n_q_points; ++q)
+        {
+          const Tensor1<VA> u = phi->get_value(q);
+          Tensor2<VA> flux;
+          for (unsigned int i = 0; i < dim; ++i)
+            for (unsigned int j = 0; j < dim; ++j)
+              flux[i][j] = -u[i] * u[j];
+          phi->submit_gradient(flux, q);
+        }
+        phi->integrate(false, true);
+        phi->distribute_local_to_global(dst_v);
+      };
 
-    for (unsigned int b = mf_->n_inner_face_batches();
-         b < mf_->n_face_batches(); ++b)
-    {
-      phi_m.reinit(b);
-      const FlowBoundary &bdata = bc_->at(phi_m.boundary_id());
-      phi_m.read_dof_values(src);
-      phi_m.evaluate(true, false);
-      for (unsigned int q = 0; q < phi_m.n_q_points; ++q)
-      {
-        const Tensor1<VA> um = phi_m.get_value(q);
-        const Tensor1<VA> n = phi_m.get_normal_vector(q);
-        Tensor1<VA> flux;
-        if (bdata.kind == FlowBoundary::Kind::velocity_dirichlet)
+      const auto inner = [phi_m, phi_p, &dst_v, &src](const unsigned int b) {
+        phi_m->reinit(b);
+        phi_p->reinit(b);
+        phi_m->read_dof_values(src);
+        phi_p->read_dof_values(src);
+        phi_m->evaluate(true, false);
+        phi_p->evaluate(true, false);
+        for (unsigned int q = 0; q < phi_m->n_q_points; ++q)
         {
-          const Tensor1<VA> g = evaluate_vector(bdata.velocity, phi_m, q, t);
-          // mirror: u+ = 2g - u-
-          flux = numerical_flux(um, Number(2) * g - um, n);
+          const Tensor1<VA> um = phi_m->get_value(q);
+          const Tensor1<VA> up = phi_p->get_value(q);
+          const Tensor1<VA> n = phi_m->get_normal_vector(q);
+          const Tensor1<VA> flux = numerical_flux(um, up, n);
+          phi_m->submit_value(flux, q);
+          phi_p->submit_value(-flux, q);
         }
-        else
+        phi_m->integrate(true, false);
+        phi_p->integrate(true, false);
+        phi_m->distribute_local_to_global(dst_v);
+        phi_p->distribute_local_to_global(dst_v);
+      };
+
+      const auto boundary = [phi_m, &dst_v, &src, t,
+                             this](const unsigned int b) {
+        phi_m->reinit(b);
+        const FlowBoundary &bdata = bc_->at(phi_m->boundary_id());
+        phi_m->read_dof_values(src);
+        phi_m->evaluate(true, false);
+        for (unsigned int q = 0; q < phi_m->n_q_points; ++q)
         {
-          // pressure (open) boundary: u+ = u- plus backflow stabilization -
-          // the plain one-sided flux carries no dissipation and incoming
-          // momentum at locally reversed flow drives an energy instability
-          // (Gravemeier/Bazilevs; used by ExaDG's outflow boundaries):
-          // subtract min(u.n, 0) u so no momentum flux enters the domain.
-          const VA un = dot(um, n);
-          const VA un_in = bdata.backflow_stabilization
-                             ? min(un, VA(Number(0)))
-                             : VA(Number(0));
-          for (unsigned int c = 0; c < dim; ++c)
-            flux[c] = um[c] * (un - un_in);
+          const Tensor1<VA> um = phi_m->get_value(q);
+          const Tensor1<VA> n = phi_m->get_normal_vector(q);
+          Tensor1<VA> flux;
+          if (bdata.kind == FlowBoundary::Kind::velocity_dirichlet)
+          {
+            const Tensor1<VA> g =
+              evaluate_vector(bdata.velocity, *phi_m, q, t);
+            // mirror: u+ = 2g - u-
+            flux = numerical_flux(um, Number(2) * g - um, n);
+          }
+          else
+          {
+            // pressure (open) boundary: u+ = u- plus backflow stabilization
+            // - the plain one-sided flux carries no dissipation and incoming
+            // momentum at locally reversed flow drives an energy instability
+            // (Gravemeier/Bazilevs; used by ExaDG's outflow boundaries):
+            // subtract min(u.n, 0) u so no momentum flux enters the domain.
+            const VA un = dot(um, n);
+            const VA un_in = bdata.backflow_stabilization
+                               ? min(un, VA(Number(0)))
+                               : VA(Number(0));
+            for (unsigned int c = 0; c < dim; ++c)
+              flux[c] = um[c] * (un - un_in);
+          }
+          phi_m->submit_value(flux, q);
         }
-        phi_m.submit_value(flux, q);
-      }
-      phi_m.integrate(true, false);
-      phi_m.distribute_local_to_global(dst);
-    }
+        phi_m->integrate(true, false);
+        phi_m->distribute_local_to_global(dst_v);
+      };
+
+      return LoopKernels{cell, inner, boundary};
+    };
+
+    const unsigned int block = 3 * mf_->dofs_per_cell(space_);
+    cell_face_loop(*mf_, dst, src, block, block, make_kernels, NoRangeHook{},
+                   NoRangeHook{});
   }
 
   /// Local Lax-Friedrichs flux of the divergence-form convective term.

@@ -43,36 +43,40 @@ public:
   /// sets the time step scaling. The velocity scale is floored at
   /// floor_factor * h/dt: the penalty must not vanish at startup from rest,
   /// where it is the only mechanism damping the spurious pressure-projection
-  /// modes of the L2-conforming splitting (Fehn et al. 2017).
+  /// modes of the L2-conforming splitting (Fehn et al. 2017). The cell
+  /// parameters are computed on the pool; each batch writes only its own.
   void update(const VectorType &u, const Number dt,
               const Number floor_factor = Number(0.05))
   {
     dt_ = dt;
     const unsigned int degree = mf_->degree(space_);
 
-    FEEvaluation<Number, 3> phi(*mf_, space_, quad_);
     std::vector<Number> cell_norm(mf_->n_cells());
-    for (unsigned int b = 0; b < mf_->n_cell_batches(); ++b)
-    {
-      phi.reinit(b);
-      phi.read_dof_values(u);
-      phi.evaluate(true, false);
-      VA norm_sq(Number(0)), vol(Number(0));
-      for (unsigned int q = 0; q < phi.n_q_points; ++q)
+    for_each_cell_batch_chunk(*mf_, [&](unsigned int, const unsigned int b0,
+                                        const unsigned int b1) {
+      FEEvaluation<Number, 3> phi(*mf_, space_, quad_);
+      for (unsigned int b = b0; b < b1; ++b)
       {
-        const Tensor1<VA> v = phi.get_value(q);
-        const VA jxw = phi.JxW(q);
-        norm_sq += dot(v, v) * jxw;
-        vol += jxw;
+        phi.reinit(b);
+        phi.read_dof_values(u);
+        phi.evaluate(true, false);
+        VA norm_sq(Number(0)), vol(Number(0));
+        for (unsigned int q = 0; q < phi.n_q_points; ++q)
+        {
+          const Tensor1<VA> v = phi.get_value(q);
+          const VA jxw = phi.JxW(q);
+          norm_sq += dot(v, v) * jxw;
+          vol += jxw;
+        }
+        const VA h = mf_->cell_width()[b];
+        const VA u_norm = sqrt(norm_sq / vol) +
+                          floor_factor * h / (dt > Number(0) ? dt : Number(1));
+        tau_div_[b] = zeta_ * u_norm * h * Number(1. / (degree + 1));
+        const auto &batch = mf_->cell_batch(b);
+        for (unsigned int l = 0; l < batch.n_filled; ++l)
+          cell_norm[batch.cells[l]] = u_norm[l];
       }
-      const VA h = mf_->cell_width()[b];
-      const VA u_norm =
-        sqrt(norm_sq / vol) + floor_factor * h / (dt > Number(0) ? dt : Number(1));
-      tau_div_[b] = zeta_ * u_norm * h * Number(1. / (degree + 1));
-      const auto &batch = mf_->cell_batch(b);
-      for (unsigned int l = 0; l < batch.n_filled; ++l)
-        cell_norm[batch.cells[l]] = u_norm[l];
-    }
+    });
 
     // face parameter: average of the adjacent cells' velocity scales
     for (unsigned int b = 0; b < mf_->n_face_batches(); ++b)

@@ -26,6 +26,7 @@
 // docs/DEVELOPING.md, "Silent data corruption & ABFT"). Off by default: a
 // fault-free solve with the guard off is bit-for-bit the pre-guard solver.
 
+#include <atomic>
 #include <cmath>
 #include <type_traits>
 
@@ -118,17 +119,45 @@ public:
   template <typename VectorType>
   void reinit(const VectorType &diagonal)
   {
-    inv_diag_.reinit(diagonal.size(), true);
-    for (std::size_t i = 0; i < diagonal.size(); ++i)
+    reinit(diagonal.size(),
+           [&diagonal](const std::size_t i) { return diagonal[i]; });
+  }
+
+  /// Stores the inverse of the n-entry diagonal whose entry i is
+  /// diagonal_entry(i), in one pass on the pool into the storage of the
+  /// previous reinit — the viscous step rebuilds its (mass_factor M + A)
+  /// diagonal every time step without materializing it.
+  template <typename DiagonalEntry>
+  void reinit(const std::size_t n, const DiagonalEntry &diagonal_entry)
+  {
+    inv_diag_.reinit(n, true);
+    Number *DGFLOW_RESTRICT inv = inv_diag_.data();
+    std::atomic<bool> valid{true};
+    concurrency::ThreadPool::instance().parallel_for(
+      n, [&](const std::size_t i0, const std::size_t i1) {
+        bool ok = true;
+        for (std::size_t i = i0; i < i1; ++i)
+        {
+          const Number d = diagonal_entry(i);
+          ok = ok && std::isfinite(double(d)) && d != Number(0);
+          inv[i] = Number(1) / d;
+        }
+        if (!ok)
+          valid.store(false, std::memory_order_relaxed);
+      });
+    if (valid.load(std::memory_order_relaxed))
+      return;
+    // report the first offending entry
+    for (std::size_t i = 0; i < n; ++i)
     {
-      DGFLOW_ASSERT(std::isfinite(double(diagonal[i])),
-                    "non-finite diagonal entry " << double(diagonal[i])
-                      << " at index " << i << " of " << diagonal.size()
+      const Number d = diagonal_entry(i);
+      DGFLOW_ASSERT(std::isfinite(double(d)),
+                    "non-finite diagonal entry " << double(d) << " at index "
+                      << i << " of " << n
                       << ": the operator produced NaN/Inf during diagonal "
                          "assembly; refusing to build a Jacobi "
                          "preconditioner that would propagate it silently");
-      DGFLOW_ASSERT(diagonal[i] != Number(0), "zero diagonal entry");
-      inv_diag_[i] = Number(1) / diagonal[i];
+      DGFLOW_ASSERT(d != Number(0), "zero diagonal entry");
     }
   }
 
@@ -172,11 +201,13 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
   DGFLOW_PROF_SCOPE("cg");
   Timer solve_timer;
   SolveStats result;
+  // every entry of the scratch vectors is written before it is read (Ap by
+  // the operator, r from it, z by the preconditioner, p from z): no fill
   VectorType r, z, p, Ap;
-  r.reinit_like(b);
-  z.reinit_like(b);
-  p.reinit_like(b);
-  Ap.reinit_like(b);
+  r.reinit_like(b, true);
+  z.reinit_like(b, true);
+  p.reinit_like(b, true);
+  Ap.reinit_like(b, true);
 
   unsigned long long messages0 = 0, bytes0 = 0, allreduces0 = 0;
   if constexpr (distributed)

@@ -27,6 +27,7 @@
 // stays byte-identical to the pre-knob format (no checksum) so traffic
 // accounting and the epoch/timeout protocol are unchanged.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -183,7 +184,11 @@ public:
 
   void operator=(const Number s)
   {
-    data_.fill(s);
+    Number *DGFLOW_RESTRICT d = data_.data();
+    concurrency::ThreadPool::instance().parallel_for(
+      data_.size(), [&](const std::size_t i0, const std::size_t i1) {
+        std::fill(d + i0, d + i1, s);
+      });
     state_ = GhostState::owned_only;
   }
 
