@@ -14,9 +14,17 @@ namespace
 {
 struct Result
 {
-  unsigned int iterations;
+  SolveStats stats;
   double seconds;
   unsigned int levels;
+
+  /// the iteration count, or FAILED(<reason>@<it>) for a failed solve
+  std::string its() const { return iterations_or_failure(stats); }
+  /// the solve time, or "-" for a failed solve
+  std::string time() const
+  {
+    return stats.converged ? Table::format(seconds, 3) : "-";
+  }
 };
 
 Result run(const CoarseMesh &coarse, const BoundaryMap &bc,
@@ -50,7 +58,7 @@ Result run(const CoarseMesh &coarse, const BoundaryMap &bc,
   control.max_iterations = 400;
   Timer t;
   const auto result = solve_cg(laplace, x, rhs, mg, control);
-  return {result.iterations, t.seconds(), mg.n_levels()};
+  return {result, t.seconds(), mg.n_levels()};
 }
 
 BoundaryMap all_dirichlet()
@@ -82,7 +90,7 @@ int main()
       opts.h_coarsening = h;
       const Result r = run(cube, bc, 3, 3, opts);
       t.add_row(h ? "full hybrid (p+c+h+AMG)" : "no h-levels (p+c+AMG)",
-                r.levels, r.iterations, Table::format(r.seconds, 3));
+                r.levels, r.its(), r.time());
     }
     std::printf("\n[1] geometric coarsening below the Q1 space (cube, k=3, "
                 "16^3 cells):\n");
@@ -97,7 +105,7 @@ int main()
       HybridMultigrid<float>::Options opts;
       opts.smoother.degree = deg;
       const Result r = run(cube, bc, 3, 3, opts);
-      t.add_row(deg, r.iterations, Table::format(r.seconds, 3));
+      t.add_row(deg, r.its(), r.time());
     }
     std::printf("\n[2] Chebyshev smoother degree (paper: 3):\n");
     t.print();
@@ -112,8 +120,7 @@ int main()
       HybridMultigrid<float>::Options opts;
       opts.penalty_safety = safety;
       const Result r = run(cube, bc, 3, 3, opts);
-      t.add_row(Table::format(safety, 2), r.iterations,
-                Table::format(r.seconds, 3));
+      t.add_row(Table::format(safety, 2), r.its(), r.time());
     }
     std::printf("\n[3] SIP penalty safety factor (cube, k=3):\n");
     t.print();
@@ -126,13 +133,13 @@ int main()
     {
       HybridMultigrid<float>::Options opts;
       const Result r = run(cube, bc, 3, 3, opts);
-      t.add_row("cube 16^3", r.iterations, Table::format(r.seconds, 3));
+      t.add_row("cube 16^3", r.its(), r.time());
     }
     {
       HybridMultigrid<float>::Options opts;
       opts.penalty_safety = 4.;
       const Result r = run(bif.coarse, bc, 1, 3, opts);
-      t.add_row("bifurcation", r.iterations, Table::format(r.seconds, 3));
+      t.add_row("bifurcation", r.its(), r.time());
     }
     std::printf("\n[4] mesh complexity at tol 1e-10:\n");
     t.print();

@@ -17,7 +17,8 @@
 // archived as JSON (schema dgflow-bench-precision-v1); run_benchmarks.sh
 // stores it as bench_results/BENCH_precision.json. A fast smoke variant
 // (--smoke, also run under `ctest -L perf`) shrinks the cases to verify the
-// harness end to end.
+// harness end to end; it exits non-zero when any solve failed. A failed
+// solve prints as FAILED(<reason>@<it>) and stays out of the JSON.
 
 #include <cstdio>
 #include <cstdlib>
@@ -41,7 +42,7 @@ struct Result
   std::string case_name;
   std::string config;
   std::size_t n_dofs;
-  unsigned int iterations;
+  SolveStats stats;
   double seconds;
   double ghost_bytes_per_vmult = 0; ///< distributed configs only
 };
@@ -92,7 +93,7 @@ Result run_mg_config(const Case &c, const char *config, const bool sp_amg)
   solve_cg(laplace, x, rhs, mg, control); // warm-up
   r.seconds = best_of(c.repetitions, [&]() {
     x = 0.;
-    r.iterations = solve_cg(laplace, x, rhs, mg, control).iterations;
+    r.stats = solve_cg(laplace, x, rhs, mg, control);
   });
   return r;
 }
@@ -158,7 +159,7 @@ Result run_ghost_config(const Case &c, const char *config,
     const auto solve = solve_cg(laplace, x, b, jacobi, control);
     if (comm.rank() == 0)
     {
-      r.iterations = solve.iterations;
+      r.stats = solve;
       r.seconds = seconds;
       r.ghost_bytes_per_vmult = double(after.bytes - before.bytes) / n_mv;
     }
@@ -175,13 +176,17 @@ void write_json(const char *path, const std::vector<Result> &results,
     std::fprintf(stderr, "cannot write %s\n", path);
     return;
   }
-  int lung_dp = -1, lung_sp = -1;
+  std::vector<const Result *> converged;
   for (const Result &r : results)
+    if (r.stats.converged)
+      converged.push_back(&r);
+  int lung_dp = -1, lung_sp = -1;
+  for (const Result *r : converged)
   {
-    if (r.case_name == "lung_g3_k3" && r.config == "dp")
-      lung_dp = int(r.iterations);
-    if (r.case_name == "lung_g3_k3" && r.config == "sp_levels")
-      lung_sp = int(r.iterations);
+    if (r->case_name == "lung_g3_k3" && r->config == "dp")
+      lung_dp = int(r->stats.iterations);
+    if (r->case_name == "lung_g3_k3" && r->config == "sp_levels")
+      lung_sp = int(r->stats.iterations);
   }
   std::fprintf(f, "{\n  \"schema\": \"dgflow-bench-precision-v1\",\n");
   std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
@@ -190,16 +195,16 @@ void write_json(const char *path, const std::vector<Result> &results,
   std::fprintf(f, "  \"lung_iteration_delta_sp_vs_dp\": %d,\n",
                (lung_dp >= 0 && lung_sp >= 0) ? lung_sp - lung_dp : 9999);
   std::fprintf(f, "  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i)
+  for (std::size_t i = 0; i < converged.size(); ++i)
   {
-    const Result &r = results[i];
+    const Result &r = *converged[i];
     std::fprintf(f,
                  "    {\"case\": \"%s\", \"config\": \"%s\", \"n_dofs\": "
                  "%zu, \"iterations\": %u, \"seconds\": %.6e, "
                  "\"ghost_bytes_per_vmult\": %.6g}%s\n",
                  r.case_name.c_str(), r.config.c_str(), r.n_dofs,
-                 r.iterations, r.seconds, r.ghost_bytes_per_vmult,
-                 i + 1 < results.size() ? "," : "");
+                 r.stats.iterations, r.seconds, r.ghost_bytes_per_vmult,
+                 i + 1 < converged.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -253,10 +258,15 @@ int main(int argc, char **argv)
     for (std::size_t i = results.size() - 3; i < results.size(); ++i)
     {
       const Result &r = results[i];
-      table.add_row(r.config.c_str(), r.iterations,
-                    Table::format(r.seconds, 3),
-                    Table::sci(double(r.n_dofs) * r.iterations / r.seconds,
-                               3));
+      if (r.stats.converged)
+        table.add_row(r.config.c_str(), r.stats.iterations,
+                      Table::format(r.seconds, 3),
+                      Table::sci(double(r.n_dofs) * r.stats.iterations /
+                                   r.seconds,
+                                 3));
+      else
+        table.add_row(r.config.c_str(), iterations_or_failure(r.stats), "-",
+                      "-");
     }
     std::printf("\ncase %s (%zu DoF):\n", c.name.c_str(),
                 results.back().n_dofs);
@@ -274,7 +284,7 @@ int main(int argc, char **argv)
     for (std::size_t i = results.size() - 2; i < results.size(); ++i)
     {
       const Result &r = results[i];
-      table.add_row(r.config.c_str(), r.iterations,
+      table.add_row(r.config.c_str(), iterations_or_failure(r.stats),
                     Table::format(r.seconds, 4),
                     Table::sci(r.ghost_bytes_per_vmult, 4));
     }
@@ -290,5 +300,15 @@ int main(int argc, char **argv)
 
   if (const char *path = std::getenv("DGFLOW_BENCH_JSON"))
     write_json(path, results, smoke);
+
+  unsigned int n_failed = 0;
+  for (const Result &r : results)
+    n_failed += r.stats.converged ? 0 : 1;
+  if (n_failed > 0)
+  {
+    std::printf("\n%u solve(s) FAILED\n", n_failed);
+    if (smoke)
+      return 1;
+  }
   return 0;
 }

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Runs the full benchmark harness sequentially (single-core machine: do not
-# run anything else concurrently or the timings are polluted).
+# Runs the full benchmark harness sequentially (4-core host: the threaded
+# benchmarks use every core, so do not run anything else concurrently or the
+# timings are polluted).
 #
 # Each benchmark runs with profiling enabled and archives its hierarchical
 # profiler report (timers / counters / vmpi traffic) as JSON into
@@ -19,9 +20,9 @@ mkdir -p bench_results
 # single benchmark.
 if [ -z "$DGFLOW_SKIP_VERIFY" ]; then
   # The same pass covers the shared-memory worker pool (ctest label
-  # threading): the thread-parallel cell loops, the fused per-thread hooks
-  # and the chunked reductions must be race-free before any threaded
-  # speedup below is trusted.
+  # threading): the thread-parallel cell loops, the fork-join handoff of
+  # the pool and the chunked reductions must be race-free before any
+  # threaded speedup below is trusted.
   # The io_resilience label rides in the same pass: the asynchronous
   # checkpoint writer hands encoded images to a background service thread
   # while the solver keeps mutating its state, and the back-pressure /
@@ -33,13 +34,11 @@ if [ -z "$DGFLOW_SKIP_VERIFY" ]; then
     recovery_microbench threads_microbench > /dev/null
   (cd build-tsan && ctest -L "distributed_resilience|io_resilience|threading" --output-on-failure)
 
-  # Second verify pass: the fused-kernel equivalence, mixed-precision and
-  # ABFT tests under AddressSanitizer — the fused hooks write through raw
-  # pointers into solver vectors mid-traversal, the single-precision ghost
-  # wire packs/unpacks hand-rolled buffers, and the ABFT guard flips bits in
-  # live payloads and checksums raw memory regions; an out-of-range hook
-  # range, wire offset or stale artifact region must fail here, not corrupt
-  # a timing run below. The perf smoke label rides along: it drives every
+  # Second verify pass: the mixed-precision and ABFT tests under
+  # AddressSanitizer — the single-precision ghost wire packs/unpacks
+  # hand-rolled buffers, and the ABFT guard flips bits in live payloads and
+  # checksums raw memory regions; an out-of-range wire offset or stale
+  # artifact region must fail here, not corrupt a timing run below. The perf smoke label rides along: it drives every
   # kernel backend (batch AoSoA tables, SoA lane-major staging, generic)
   # through a full vmult harness, so a staging-buffer overrun in a backend
   # fails here first.

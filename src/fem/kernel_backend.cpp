@@ -40,23 +40,4 @@ KernelBackendType default_kernel_backend()
   return default_backend.load(std::memory_order_relaxed);
 }
 
-// ---------------------------------------------------------------------------
-// Deprecated shim (declared in fem/kernel_dispatch.h): the pre-backend bool
-// toggle folded into the backend default. Off = route everything through
-// GenericBackend arithmetic; the gating inside lookup_* / lookup_soa_* means
-// already-selected batch/soa backends degrade to the runtime-extent sweeps
-// as well, which is exactly the pre-backend behavior of the switch.
-// ---------------------------------------------------------------------------
-
-void set_specialized_kernels_enabled(const bool enabled)
-{
-  set_default_kernel_backend(enabled ? KernelBackendType::batch
-                                     : KernelBackendType::generic);
-}
-
-bool specialized_kernels_enabled()
-{
-  return default_kernel_backend() != KernelBackendType::generic;
-}
-
 } // namespace dgflow

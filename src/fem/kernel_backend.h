@@ -26,11 +26,12 @@
 //
 // Selection: MatrixFree::AdditionalData::backend (strongest), else the
 // DGFLOW_BACKEND environment variable (strict batch|soa|generic parse via
-// common/env.h), else the process default (set_default_kernel_backend; the
-// deprecated set_specialized_kernels_enabled shim maps onto it). Evaluators
-// query MatrixFree::kernel_backend() at construction, so each evaluator -
-// and therefore each thread chunk of the parallel cell loops - owns a
-// private backend instance with private scratch.
+// common/env.h), else the process default (set_default_kernel_backend; a
+// generic default also disables the fixed-size dispatch tables, so already
+// selected batch/soa backends degrade to the runtime-extent sweeps).
+// Evaluators query MatrixFree::kernel_backend() at construction, so each
+// evaluator - and therefore each thread chunk of the parallel cell loops -
+// owns a private backend instance with private scratch.
 //
 // The quadrature-point contract is backend-independent: values_quad_ /
 // gradients_quad_ stay in the AoSoA VectorizedArray layout, so operator

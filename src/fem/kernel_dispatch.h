@@ -115,7 +115,8 @@ struct SoAFaceKernels
 };
 
 /// Returns the specialized cell-kernel table for (degree, n_q_1d), or
-/// nullptr when no instantiation exists or the fast path is disabled.
+/// nullptr when no instantiation exists or the fast path is disabled (the
+/// process default backend of fem/kernel_backend.h is generic).
 /// The returned pointer is valid for the process lifetime.
 template <typename Number>
 const CellKernels<Number> *lookup_cell_kernels(const unsigned int degree,
@@ -137,15 +138,5 @@ lookup_soa_cell_kernels(const unsigned int degree, const unsigned int n_q_1d);
 template <typename Number>
 const SoAFaceKernels<Number> *
 lookup_soa_face_kernels(const unsigned int degree, const unsigned int n_q_1d);
-
-/// DEPRECATED shim over the backend-selection API of fem/kernel_backend.h:
-/// set_specialized_kernels_enabled(false) is set_default_kernel_backend
-/// (generic) - lookup_* then return nullptr and every evaluator constructed
-/// afterwards uses the runtime-extent fallback - and (true) restores the
-/// batch default. specialized_kernels_enabled() reports whether fixed-size
-/// dispatch is available (default backend != generic). New code should call
-/// the kernel_backend.h functions directly.
-void set_specialized_kernels_enabled(const bool enabled);
-bool specialized_kernels_enabled();
 
 } // namespace dgflow

@@ -15,6 +15,7 @@
 // generic path by construction - the equivalence tests in
 // tests/test_tensor_kernels.cpp pin that down.
 
+#include "fem/kernel_backend.h"
 #include "fem/kernel_dispatch.h"
 #include "fem/kernel_dispatch_sizes.h"
 #include "fem/tensor_kernels.h"
@@ -265,7 +266,7 @@ template <typename Number>
 const CellKernels<Number> *lookup_cell_kernels(const unsigned int degree,
                                                const unsigned int n_q_1d)
 {
-  if (!specialized_kernels_enabled())
+  if (default_kernel_backend() == KernelBackendType::generic)
     return nullptr;
   switch (degree * 100 + n_q_1d)
   {
@@ -287,7 +288,7 @@ template <typename Number>
 const FaceKernels<Number> *lookup_face_kernels(const unsigned int degree,
                                                const unsigned int n_q_1d)
 {
-  if (!specialized_kernels_enabled())
+  if (default_kernel_backend() == KernelBackendType::generic)
     return nullptr;
   switch (degree * 100 + n_q_1d)
   {
@@ -309,7 +310,7 @@ template <typename Number>
 const SoACellKernels<Number> *
 lookup_soa_cell_kernels(const unsigned int degree, const unsigned int n_q_1d)
 {
-  if (!specialized_kernels_enabled())
+  if (default_kernel_backend() == KernelBackendType::generic)
     return nullptr;
   switch (degree * 100 + n_q_1d)
   {
@@ -331,7 +332,7 @@ template <typename Number>
 const SoAFaceKernels<Number> *
 lookup_soa_face_kernels(const unsigned int degree, const unsigned int n_q_1d)
 {
-  if (!specialized_kernels_enabled())
+  if (default_kernel_backend() == KernelBackendType::generic)
     return nullptr;
   switch (degree * 100 + n_q_1d)
   {

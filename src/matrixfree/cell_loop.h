@@ -1,10 +1,10 @@
 #pragma once
 
-// Shared cell/face loop driver of the operator contract v2
+// Shared cell/face loop driver of the operator contract
 // (operators/README.md): every matrix-free operator evaluates its kernels
 // through cell_face_loop (or cell_only_loop for cell-local operators), which
-// owns the traversal order, the distributed ghost-exchange overlap, the
-// shared-memory thread parallelization and the solver hook scheduling.
+// owns the traversal order, the distributed ghost-exchange overlap and the
+// shared-memory thread parallelization.
 //
 // Operators hand the driver a KERNEL FACTORY instead of ready-made kernels:
 // a generic callable make_kernels(dst_view) that constructs its evaluators
@@ -12,13 +12,11 @@
 // The driver decides how many kernel sets exist: one over the real dst for
 // the serial sweep, one per thread chunk (each with private evaluator
 // scratch, writing through a ChunkDst mask) for the parallel sweep. The
-// threaded traversal (MatrixFree::thread_partition) runs in three phases:
+// threaded traversal (MatrixFree::thread_partition) runs in two phases:
 //
-//   0  each chunk: pre hooks + cell integrals of its own batches
+//   0  each chunk: cell integrals of its own batches
 //   1  each chunk: its face list (cross-chunk faces are evaluated by every
-//      touching chunk, writes masked to the chunk's cell range) + post hooks
-//      of batches no other chunk still reads
-//   2  caller: deferred post hooks of chunk-boundary batches, ascending
+//      touching chunk, writes masked to the chunk's cell range)
 //
 // Every dst entry accumulates cell integral first, then its faces in
 // ascending face-batch order with the minus side before the plus side —
@@ -26,29 +24,11 @@
 // BITWISE IDENTICAL to the serial sweep at any thread count (the determinism
 // argument is spelled out in docs/DEVELOPING.md, "Shared-memory parallel
 // loops").
-//
-// The solver hooks fold BLAS-1 vector updates into the operator sweep:
-//
-//   pre(begin, end)   fires immediately before the loop first reads
-//                     src[begin, end) — for a DG space, right before the
-//                     batch's cell integral; batches feeding the ghost wire
-//                     fire before the exchange is posted.
-//   post(begin, end)  fires as soon as the traversal will neither read the
-//                     batch's src entries nor write its dst entries again —
-//                     per-thread for chunk-private batches, after the join
-//                     for chunk-boundary batches.
-//
-// Ranges are half-open local scalar indices (distributed: into the owned
-// range), tile the vector exactly once per vmult, and are contiguous because
-// cell batches pack consecutive cells. Hooks must be elementwise in their
-// range (all solver hooks are): they run concurrently on disjoint ranges.
-// Passing NoRangeHook for both slots compiles the scheduling away.
 
 #include <algorithm>
 #include <chrono>
 #include <vector>
 
-#include "common/loop_hooks.h"
 #include "common/vector.h"
 #include "concurrency/thread_pool.h"
 #include "instrumentation/profiler.h"
@@ -58,18 +38,6 @@ namespace dgflow
 {
 namespace internal
 {
-/// DoF range of a cell batch in a vector with @p block scalars per cell;
-/// @p base is the vector's first_local_index() (0 for a serial Vector).
-template <typename Number>
-inline std::pair<std::size_t, std::size_t>
-batch_dof_range(const MatrixFree<Number> &mf, const unsigned int b,
-                const unsigned int block, const std::size_t base)
-{
-  const auto &cb = mf.cell_batch(b);
-  const std::size_t begin = std::size_t(cb.cells[0]) * block - base;
-  return {begin, begin + std::size_t(cb.n_filled) * block};
-}
-
 /// Destination mask of one thread chunk: behaves like the wrapped vector but
 /// owns only the cells in [cell_begin, cell_end). The evaluators' generic
 /// distribute_local_to_global overloads consult is_owned_element per lane,
@@ -151,33 +119,16 @@ LoopKernels(CellFn, InnerFn, BoundaryFn)
 
 namespace internal
 {
-/// Three-phase thread-parallel traversal (see the file comment). Factored
+/// Two-phase thread-parallel traversal (see the file comment). Factored
 /// out of cell_face_loop; part.chunks.size() >= 2.
-template <typename Number, typename VectorType, typename KernelFactory,
-          typename PreFn, typename PostFn>
+template <typename Number, typename VectorType, typename KernelFactory>
 void threaded_cell_face_loop(const MatrixFree<Number> &mf, VectorType &dst,
                              const VectorType &src,
-                             const unsigned int dst_block,
-                             const unsigned int src_block,
-                             KernelFactory &&make_kernels, PreFn &&pre,
-                             PostFn &&post, const int rank,
+                             KernelFactory &&make_kernels,
                              const typename MatrixFree<Number>::ThreadPartition
                                &part)
 {
   constexpr bool distributed = is_distributed_vector_v<VectorType>;
-  constexpr bool has_pre = !is_no_hook_v<PreFn>;
-  constexpr bool has_post = !is_no_hook_v<PostFn>;
-
-  const std::size_t src_base = src.first_local_index();
-  const std::size_t dst_base = dst.first_local_index();
-  const auto fire_pre = [&](const unsigned int b) {
-    const auto [r0, r1] = batch_dof_range(mf, b, src_block, src_base);
-    pre(r0, r1);
-  };
-  const auto fire_post = [&](const unsigned int b) {
-    const auto [r0, r1] = batch_dof_range(mf, b, dst_block, dst_base);
-    post(r0, r1);
-  };
 
   const unsigned int n_chunks = part.chunks.size();
   using View = ChunkDst<VectorType>;
@@ -191,46 +142,20 @@ void threaded_cell_face_loop(const MatrixFree<Number> &mf, VectorType &dst,
   for (auto &v : views)
     kernels.push_back(make_kernels(v));
 
-  [[maybe_unused]] const auto &rank_sched = mf.loop_schedule(rank);
-  [[maybe_unused]] const unsigned int rank_batch_begin =
-    rank < 0 ? 0u : mf.cell_batch_range(rank).first;
-
   const bool measure = prof::Profiler::instance().enabled();
   std::vector<double> chunk_seconds(n_chunks, 0.);
   auto &pool = concurrency::ThreadPool::instance();
 
   if constexpr (distributed)
-  {
-    // src-mutating pre hooks must finalize the entries the ghost pack reads
-    // (cells on cut faces) before the sends are posted
-    if constexpr (has_pre)
-    {
-      const auto [cb, ce] = mf.cell_batch_range(rank);
-      for (unsigned int b = cb; b < ce; ++b)
-        if (rank_sched.pre_before_exchange[b - cb])
-          fire_pre(b);
-    }
     src.update_ghost_values_start();
-  }
 
-  // phase 0: per-chunk pre hooks + cell integrals
+  // phase 0: per-chunk cell integrals
   pool.run_chunks(n_chunks, [&](const unsigned int c) {
     const auto t0 = std::chrono::steady_clock::now();
     DGFLOW_PROF_SCOPE("mf_threaded_cells");
     const auto &ch = part.chunks[c];
     for (unsigned int b = ch.batch_begin; b < ch.batch_end; ++b)
-    {
-      if constexpr (has_pre)
-      {
-        bool fired_before_exchange = false;
-        if constexpr (distributed)
-          fired_before_exchange =
-            rank_sched.pre_before_exchange[b - rank_batch_begin] != 0;
-        if (!fired_before_exchange)
-          fire_pre(b);
-      }
       kernels[c].cell(b);
-    }
     if (measure)
       chunk_seconds[c] += seconds_since(t0);
   });
@@ -238,36 +163,20 @@ void threaded_cell_face_loop(const MatrixFree<Number> &mf, VectorType &dst,
   if constexpr (distributed)
     src.update_ghost_values_finish();
 
-  // phase 1: per-chunk face lists + post hooks of chunk-private batches
+  // phase 1: per-chunk face lists
   pool.run_chunks(n_chunks, [&](const unsigned int c) {
     const auto t0 = std::chrono::steady_clock::now();
     DGFLOW_PROF_SCOPE("mf_threaded_faces");
-    const auto &ch = part.chunks[c];
-    const auto fire_completed = [&](const unsigned int slot) {
-      for (unsigned int k = ch.sched.completes_ptr[slot];
-           k < ch.sched.completes_ptr[slot + 1]; ++k)
-        fire_post(ch.sched.completes_data[k]);
-    };
-    for (unsigned int i = 0; i < ch.face_list.size(); ++i)
+    for (const unsigned int b : part.chunks[c].face_list)
     {
-      const unsigned int b = ch.face_list[i];
       if (mf.face_batch(b).interior)
         kernels[c].inner(b);
       else
         kernels[c].boundary(b);
-      if constexpr (has_post)
-        fire_completed(i);
     }
-    if constexpr (has_post)
-      fire_completed(static_cast<unsigned int>(ch.face_list.size()));
     if (measure)
       chunk_seconds[c] += seconds_since(t0);
   });
-
-  // phase 2: deferred posts of chunk-boundary batches, ascending
-  if constexpr (has_post)
-    for (const unsigned int b : part.deferred)
-      fire_post(b);
 
   if (measure)
     publish_thread_balance(chunk_seconds);
@@ -285,19 +194,12 @@ void threaded_cell_face_loop(const MatrixFree<Number> &mf, VectorType &dst,
 /// Runs the full cell + face traversal of one operator application.
 /// make_kernels(dst_view) must return LoopKernels writing through dst_view;
 /// the batch callables read src / accumulate into the view themselves. dst
-/// must already be zeroed. src_block / dst_block are the scalars per cell of
-/// the respective space (they differ for mixed-space operators like
-/// divergence/gradient).
-template <typename Number, typename VectorType, typename KernelFactory,
-          typename PreFn, typename PostFn>
+/// must already be zeroed.
+template <typename Number, typename VectorType, typename KernelFactory>
 void cell_face_loop(const MatrixFree<Number> &mf, VectorType &dst,
-                    const VectorType &src, const unsigned int dst_block,
-                    const unsigned int src_block, KernelFactory &&make_kernels,
-                    PreFn &&pre, PostFn &&post)
+                    const VectorType &src, KernelFactory &&make_kernels)
 {
   constexpr bool distributed = is_distributed_vector_v<VectorType>;
-  constexpr bool has_pre = !internal::is_no_hook_v<PreFn>;
-  constexpr bool has_post = !internal::is_no_hook_v<PostFn>;
 
   int rank = -1;
   if constexpr (distributed)
@@ -308,75 +210,33 @@ void cell_face_loop(const MatrixFree<Number> &mf, VectorType &dst,
   const auto &part = mf.thread_partition(rank);
   if (part.chunks.size() > 1)
   {
-    internal::threaded_cell_face_loop(mf, dst, src, dst_block, src_block,
-                                      make_kernels, pre, post, rank, part);
+    internal::threaded_cell_face_loop(mf, dst, src, make_kernels, part);
     return;
   }
 
   auto kernels = make_kernels(dst);
-  const std::size_t src_base = src.first_local_index();
-  const std::size_t dst_base = dst.first_local_index();
-  const auto fire_pre = [&](const unsigned int b) {
-    const auto [r0, r1] = internal::batch_dof_range(mf, b, src_block, src_base);
-    pre(r0, r1);
-  };
-  const auto fire_completed = [&](const typename MatrixFree<Number>::LoopSchedule
-                                    &sched,
-                                  const unsigned int slot) {
-    for (unsigned int k = sched.completes_ptr[slot];
-         k < sched.completes_ptr[slot + 1]; ++k)
-    {
-      const auto [r0, r1] = internal::batch_dof_range(
-        mf, sched.completes_data[k], dst_block, dst_base);
-      post(r0, r1);
-    }
-  };
-
   if constexpr (distributed)
   {
-    const auto &sched = mf.loop_schedule(rank);
     const auto [cell_begin, cell_end] = mf.cell_batch_range(rank);
-    // src-mutating pre hooks must finalize the entries the ghost pack reads
-    // (cells on cut faces) before the sends are posted; the remaining
-    // batches stay fused with their cell integral below
-    if constexpr (has_pre)
-      for (unsigned int b = cell_begin; b < cell_end; ++b)
-        if (sched.pre_before_exchange[b - cell_begin])
-          fire_pre(b);
     src.update_ghost_values_start();
     for (unsigned int b = cell_begin; b < cell_end; ++b)
-    {
-      if constexpr (has_pre)
-        if (!sched.pre_before_exchange[b - cell_begin])
-          fire_pre(b);
       kernels.cell(b);
-    }
     src.update_ghost_values_finish();
     const auto &face_list = mf.face_batches_of_rank(rank);
-    for (unsigned int i = 0; i < face_list.size(); ++i)
+    for (const unsigned int b : face_list)
     {
-      const unsigned int b = face_list[i];
       if (mf.face_batch(b).interior)
         kernels.inner(b);
       else
         kernels.boundary(b);
-      if constexpr (has_post)
-        fire_completed(sched, i);
     }
-    if constexpr (has_post)
-      fire_completed(sched, static_cast<unsigned int>(face_list.size()));
     DGFLOW_PROF_COUNT("mf_cell_batches", cell_end - cell_begin);
     DGFLOW_PROF_COUNT("mf_face_batches", face_list.size());
   }
   else
   {
-    const auto &sched = mf.loop_schedule(-1);
     for (unsigned int b = 0; b < mf.n_cell_batches(); ++b)
-    {
-      if constexpr (has_pre)
-        fire_pre(b);
       kernels.cell(b);
-    }
     const unsigned int n_faces = mf.n_face_batches();
     for (unsigned int b = 0; b < n_faces; ++b)
     {
@@ -384,11 +244,7 @@ void cell_face_loop(const MatrixFree<Number> &mf, VectorType &dst,
         kernels.inner(b);
       else
         kernels.boundary(b);
-      if constexpr (has_post)
-        fire_completed(sched, b);
     }
-    if constexpr (has_post)
-      fire_completed(sched, n_faces);
     DGFLOW_PROF_COUNT("mf_cell_batches", mf.n_cell_batches());
     DGFLOW_PROF_COUNT("mf_face_batches", n_faces);
   }
@@ -420,39 +276,15 @@ unsigned int n_cell_batch_chunks(const MatrixFree<Number> &mf)
   return std::max<unsigned int>(1, mf.thread_partition(-1).chunks.size());
 }
 
-/// Cell-only variant (no face terms, serial vectors): the post hook fires
-/// directly after each batch's cell work since nothing revisits the batch.
-/// make_cell(dst_view) returns the single cell-batch callable; cell-local
-/// writes are disjoint per chunk, so the threaded sweep hands every chunk
-/// the real dst and needs no masking or deferral.
-template <typename Number, typename VectorType, typename KernelFactory,
-          typename PreFn, typename PostFn>
+/// Cell-only variant (no face terms, serial vectors). make_cell(dst_view)
+/// returns the single cell-batch callable; cell-local writes are disjoint
+/// per chunk, so the threaded sweep hands every chunk the real dst and needs
+/// no masking.
+template <typename Number, typename VectorType, typename KernelFactory>
 void cell_only_loop(const MatrixFree<Number> &mf, VectorType &dst,
-                    const VectorType &src, const unsigned int dst_block,
-                    const unsigned int src_block, KernelFactory &&make_cell,
-                    PreFn &&pre, PostFn &&post)
+                    KernelFactory &&make_cell)
 {
-  constexpr bool has_pre = !internal::is_no_hook_v<PreFn>;
-  constexpr bool has_post = !internal::is_no_hook_v<PostFn>;
   DGFLOW_PROF_GAUGE("mf_backend", double(static_cast<int>(mf.kernel_backend())));
-  const std::size_t src_base = src.first_local_index();
-  const std::size_t dst_base = dst.first_local_index();
-  const auto run_batch = [&](auto &cell_kernel, const unsigned int b) {
-    if constexpr (has_pre)
-    {
-      const auto [r0, r1] =
-        internal::batch_dof_range(mf, b, src_block, src_base);
-      pre(r0, r1);
-    }
-    cell_kernel(b);
-    if constexpr (has_post)
-    {
-      const auto [r0, r1] =
-        internal::batch_dof_range(mf, b, dst_block, dst_base);
-      post(r0, r1);
-    }
-  };
-
   const auto &part = mf.thread_partition(-1);
   if (part.chunks.size() > 1)
   {
@@ -465,14 +297,14 @@ void cell_only_loop(const MatrixFree<Number> &mf, VectorType &dst,
       part.chunks.size(), [&](const unsigned int c) {
         const auto &ch = part.chunks[c];
         for (unsigned int b = ch.batch_begin; b < ch.batch_end; ++b)
-          run_batch(kernels[c], b);
+          kernels[c](b);
       });
   }
   else
   {
     auto cell_kernel = make_cell(dst);
     for (unsigned int b = 0; b < mf.n_cell_batches(); ++b)
-      run_batch(cell_kernel, b);
+      cell_kernel(b);
   }
   DGFLOW_PROF_COUNT("mf_cell_batches", mf.n_cell_batches());
 }

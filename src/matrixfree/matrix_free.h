@@ -304,58 +304,25 @@ public:
     return rank_face_batches_[rank];
   }
 
-  /// Hook schedule of the hooked cell-loop driver (cell_loop.h),
-  /// precomputed per rank at reinit. Walking a traversal's face list in
-  /// order, face entry i "completes" the cell batches listed in
-  /// completes_data[completes_ptr[i], completes_ptr[i+1]): no later entry
-  /// reads or writes their cells, so the driver may fire the post hook for
-  /// their DoF ranges there. The extra slot at face_list.size() holds
-  /// batches no face entry touches (cell-only spaces), fired after the
-  /// loop. pre_before_exchange flags the owned batches adjacent to a cut
-  /// face: their src entries feed the ghost wire, so src-mutating pre hooks
-  /// must run for them before the exchange is posted.
-  struct LoopSchedule
-  {
-    std::vector<unsigned int> completes_ptr;
-    std::vector<unsigned int> completes_data; ///< global cell-batch indices
-    std::vector<unsigned char> pre_before_exchange; ///< per owned batch
-  };
-
-  /// Schedule of a rank's distributed traversal (cell_batch_range(rank) +
-  /// face_batches_of_rank(rank)); rank -1 = the serial traversal over all
-  /// batches.
-  const LoopSchedule &loop_schedule(const int rank) const
-  {
-    return rank < 0 ? serial_schedule_ : loop_schedules_[rank];
-  }
-
   /// One thread's share of a traversal: a contiguous run of cell batches
   /// (equivalently a contiguous owned-cell / DoF range) plus the ascending
   /// face-batch work list touching any of its cells. Faces whose two sides
   /// fall into different chunks appear in both chunks' lists; each side
   /// evaluates the full flux and keeps only the writes into its own cell
   /// range (the both-sides-evaluate masking of the cut-face machinery), so
-  /// per-cell accumulation order matches the serial sweep exactly. sched is
-  /// the chunk-local hook schedule over face_list for the batches whose post
-  /// hook may fire mid-loop; batches adjacent to a chunk boundary are absent
-  /// from it and deferred (ThreadPartition::deferred).
+  /// per-cell accumulation order matches the serial sweep exactly.
   struct ThreadChunk
   {
     unsigned int batch_begin = 0, batch_end = 0;
     index_t cell_begin = 0, cell_end = 0;
     std::vector<unsigned int> face_list;
-    LoopSchedule sched;
   };
 
   /// Static chunking of one traversal (a rank's, or the serial one) for the
   /// thread-parallel loop driver. Empty chunks = run the serial loop body.
-  /// deferred lists, in ascending order, the cell batches whose src/dst is
-  /// still read by a neighboring chunk's face sweep: their post hooks fire
-  /// serially after the parallel phases join.
   struct ThreadPartition
   {
     std::vector<ThreadChunk> chunks;
-    std::vector<unsigned int> deferred;
   };
 
   /// Number of chunks the thread partitions were built for (resolved from
@@ -434,7 +401,7 @@ public:
 
   /// Recomputes every cell/face metric array from the stored geometry
   /// lattice: the ABFT scrub path for a corrupted geometry batch, much
-  /// cheaper than a full reinit() (no batch/schedule rebuild). The
+  /// cheaper than a full reinit() (no batch/partition rebuild). The
   /// computation is deterministic, so the rebuilt arrays are bit-identical
   /// to the ones reinit() produced and the sidecar checksums match again.
   void recompute_metrics()
@@ -524,7 +491,6 @@ public:
 private:
   void build_cell_batches();
   void build_face_batches();
-  void build_loop_schedules();
   void build_thread_partitions();
   void compute_geometry_lattices(const Geometry &geometry);
   void classify_cell_geometry();
@@ -555,8 +521,6 @@ private:
   std::vector<std::pair<unsigned int, unsigned int>> cell_batch_ranges_;
   std::vector<std::vector<unsigned int>> rank_face_batches_;
   std::vector<unsigned int> batch_of_cell_;
-  std::vector<LoopSchedule> loop_schedules_;
-  LoopSchedule serial_schedule_;
   unsigned int n_thread_chunks_ = 1;
   std::vector<ThreadPartition> thread_partitions_;
   ThreadPartition serial_thread_partition_;
@@ -621,7 +585,6 @@ void MatrixFree<Number>::reinit(const Mesh &mesh, const Geometry &geometry,
 
   build_cell_batches();
   build_face_batches();
-  build_loop_schedules();
   build_thread_partitions();
   compute_geometry_lattices(geometry);
   classify_cell_geometry();
@@ -763,76 +726,16 @@ void MatrixFree<Number>::build_face_batches()
 }
 
 template <typename Number>
-void MatrixFree<Number>::build_loop_schedules()
+void MatrixFree<Number>::build_thread_partitions()
 {
   batch_of_cell_.assign(n_cells(), 0u);
   for (unsigned int b = 0; b < cell_batches_.size(); ++b)
     for (unsigned int l = 0; l < cell_batches_[b].n_filled; ++l)
       batch_of_cell_[cell_batches_[b].cells[l]] = b;
 
-  // one schedule per traversal: a batch completes at the last face entry
-  // that touches any of its cells on the traversal's side of ownership
-  const auto build = [this](const int rank, LoopSchedule &sched,
-                            const std::vector<unsigned int> &face_list) {
-    const unsigned int batch_begin =
-      rank < 0 ? 0u : cell_batch_ranges_[rank].first;
-    const unsigned int batch_end =
-      rank < 0 ? n_cell_batches() : cell_batch_ranges_[rank].second;
-    const unsigned int n_local = batch_end - batch_begin;
-    constexpr unsigned int none = ~0u;
-    std::vector<unsigned int> last_face(n_local, none);
-    sched.pre_before_exchange.assign(n_local, 0);
-    const auto touch = [&](const index_t cell, const unsigned int entry,
-                           const bool cut) {
-      if (rank >= 0 && rank_of_cell(cell) != rank)
-        return;
-      const unsigned int local = batch_of_cell_[cell] - batch_begin;
-      last_face[local] = entry;
-      if (cut)
-        sched.pre_before_exchange[local] = 1;
-    };
-    for (unsigned int i = 0; i < face_list.size(); ++i)
-    {
-      const FaceBatch &fb = face_batches_[face_list[i]];
-      for (unsigned int l = 0; l < fb.n_filled; ++l)
-      {
-        touch(fb.cells_m[l], i, fb.is_cut());
-        if (fb.interior)
-          touch(fb.cells_p[l], i, fb.is_cut());
-      }
-    }
-    const auto slot_of = [&](const unsigned int b) {
-      return last_face[b] == none ? static_cast<unsigned int>(face_list.size())
-                                  : last_face[b];
-    };
-    sched.completes_ptr.assign(face_list.size() + 2, 0u);
-    for (unsigned int b = 0; b < n_local; ++b)
-      ++sched.completes_ptr[slot_of(b) + 1];
-    for (std::size_t i = 1; i < sched.completes_ptr.size(); ++i)
-      sched.completes_ptr[i] += sched.completes_ptr[i - 1];
-    sched.completes_data.resize(n_local);
-    std::vector<unsigned int> cursor(sched.completes_ptr.begin(),
-                                     sched.completes_ptr.end() - 1);
-    for (unsigned int b = 0; b < n_local; ++b)
-      sched.completes_data[cursor[slot_of(b)]++] = batch_begin + b;
-  };
-
-  loop_schedules_.assign(n_ranks_, LoopSchedule());
-  for (int r = 0; r < n_ranks_; ++r)
-    build(r, loop_schedules_[r], rank_face_batches_[r]);
-  std::vector<unsigned int> all_faces(face_batches_.size());
-  for (unsigned int i = 0; i < all_faces.size(); ++i)
-    all_faces[i] = i;
-  build(-1, serial_schedule_, all_faces);
-}
-
-template <typename Number>
-void MatrixFree<Number>::build_thread_partitions()
-{
   const auto build = [this](const int rank, ThreadPartition &part,
                             const std::vector<unsigned int> &face_list) {
     part.chunks.clear();
-    part.deferred.clear();
     const unsigned int batch_begin =
       rank < 0 ? 0u : cell_batch_ranges_[rank].first;
     const unsigned int batch_end =
@@ -860,10 +763,7 @@ void MatrixFree<Number>::build_thread_partitions()
 
     // hand every face batch to each chunk owning one of its cells; a face
     // with cells in more than one chunk is evaluated by all of them (each
-    // masks its writes to its own cell range) and pins the touched batches'
-    // post hooks past the parallel phases: another chunk's face sweep still
-    // reads their src (and a fused post may mutate it)
-    std::vector<unsigned char> shared(n_local, 0);
+    // masks its writes to its own cell range)
     std::vector<unsigned int> touched;
     for (const unsigned int fb_id : face_list)
     {
@@ -886,72 +786,6 @@ void MatrixFree<Number>::build_thread_partitions()
       }
       for (const unsigned int c : touched)
         part.chunks[c].face_list.push_back(fb_id);
-      if (touched.size() > 1)
-        for (unsigned int l = 0; l < fb.n_filled; ++l)
-        {
-          const auto mark = [&](const index_t cell) {
-            if (rank >= 0 && rank_of_cell(cell) != rank)
-              return;
-            shared[batch_of_cell_[cell] - batch_begin] = 1;
-          };
-          mark(fb.cells_m[l]);
-          if (fb.interior)
-            mark(fb.cells_p[l]);
-        }
-    }
-    for (unsigned int b = 0; b < n_local; ++b)
-      if (shared[b])
-        part.deferred.push_back(batch_begin + b);
-
-    // chunk-local hook schedules over the private (non-shared) batches,
-    // same CSR layout as the rank-level LoopSchedule
-    constexpr unsigned int none = ~0u;
-    for (ThreadChunk &ch : part.chunks)
-    {
-      const unsigned int nb = ch.batch_end - ch.batch_begin;
-      std::vector<unsigned int> last_face(nb, none);
-      for (unsigned int i = 0; i < ch.face_list.size(); ++i)
-      {
-        const FaceBatch &fb = face_batches_[ch.face_list[i]];
-        const auto touch = [&](const index_t cell) {
-          if (rank >= 0 && rank_of_cell(cell) != rank)
-            return;
-          const unsigned int gb = batch_of_cell_[cell];
-          if (gb < ch.batch_begin || gb >= ch.batch_end)
-            return;
-          last_face[gb - ch.batch_begin] = i;
-        };
-        for (unsigned int l = 0; l < fb.n_filled; ++l)
-        {
-          touch(fb.cells_m[l]);
-          if (fb.interior)
-            touch(fb.cells_p[l]);
-        }
-      }
-      const auto slot_of = [&](const unsigned int b) {
-        return last_face[b] == none
-                 ? static_cast<unsigned int>(ch.face_list.size())
-                 : last_face[b];
-      };
-      const auto is_private = [&](const unsigned int b) {
-        return shared[ch.batch_begin - batch_begin + b] == 0;
-      };
-      ch.sched.completes_ptr.assign(ch.face_list.size() + 2, 0u);
-      unsigned int n_private = 0;
-      for (unsigned int b = 0; b < nb; ++b)
-        if (is_private(b))
-        {
-          ++ch.sched.completes_ptr[slot_of(b) + 1];
-          ++n_private;
-        }
-      for (std::size_t i = 1; i < ch.sched.completes_ptr.size(); ++i)
-        ch.sched.completes_ptr[i] += ch.sched.completes_ptr[i - 1];
-      ch.sched.completes_data.resize(n_private);
-      std::vector<unsigned int> cursor(ch.sched.completes_ptr.begin(),
-                                       ch.sched.completes_ptr.end() - 1);
-      for (unsigned int b = 0; b < nb; ++b)
-        if (is_private(b))
-          ch.sched.completes_data[cursor[slot_of(b)]++] = ch.batch_begin + b;
     }
   };
 

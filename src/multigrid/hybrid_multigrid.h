@@ -33,64 +33,20 @@ public:
   using LVec = Vector<LevelNumber>;
   using DVec = vmpi::DistributedVector<LevelNumber>;
 
-  /// Range-hook signature of the type-erased hooked application.
-  using RangeFn = std::function<void(std::size_t, std::size_t)>;
-
-  /// Type-erased level operator handed to the Chebyshev smoother. When the
-  /// underlying operator supports the contract-v2 hooked cell loop,
-  /// apply_hooked forwards the solver hooks into it (the DG levels); when
-  /// empty, the hooked vmult degrades to a whole-range pre before / post
-  /// after the plain application, which keeps the fused smoother correct
-  /// (merely unfused) on CFE/AMG-backed levels.
+  /// Type-erased level operator handed to the Chebyshev smoother.
   struct AnyOperator
   {
     std::function<void(LVec &, const LVec &)> apply;
-    std::function<void(LVec &, const LVec &, const RangeFn &, const RangeFn &)>
-      apply_hooked;
 
     void vmult(LVec &dst, const LVec &src) const { apply(dst, src); }
-
-    template <typename PreFn, typename PostFn>
-    void vmult(LVec &dst, const LVec &src, PreFn &&pre, PostFn &&post) const
-    {
-      if (apply_hooked)
-      {
-        apply_hooked(dst, src, RangeFn(std::forward<PreFn>(pre)),
-                     RangeFn(std::forward<PostFn>(post)));
-        return;
-      }
-      if constexpr (!internal::is_no_hook_v<PreFn>)
-        pre(0, src.size());
-      apply(dst, src);
-      if constexpr (!internal::is_no_hook_v<PostFn>)
-        post(0, dst.size());
-    }
   };
 
   /// Distributed counterpart for the DG levels of a distributed V-cycle.
   struct AnyDistOperator
   {
     std::function<void(DVec &, const DVec &)> apply;
-    std::function<void(DVec &, const DVec &, const RangeFn &, const RangeFn &)>
-      apply_hooked;
 
     void vmult(DVec &dst, const DVec &src) const { apply(dst, src); }
-
-    template <typename PreFn, typename PostFn>
-    void vmult(DVec &dst, const DVec &src, PreFn &&pre, PostFn &&post) const
-    {
-      if (apply_hooked)
-      {
-        apply_hooked(dst, src, RangeFn(std::forward<PreFn>(pre)),
-                     RangeFn(std::forward<PostFn>(post)));
-        return;
-      }
-      if constexpr (!internal::is_no_hook_v<PreFn>)
-        pre(0, src.size());
-      apply(dst, src);
-      if constexpr (!internal::is_no_hook_v<PostFn>)
-        post(0, dst.size());
-    }
   };
 
   struct Options
@@ -319,10 +275,6 @@ public:
       const LaplaceOperator<LevelNumber> *op = &dg_ops_[s];
       DistLevel &dl = dist_levels_[lev];
       dl.op.apply = [op](DVec &d, const DVec &v) { op->vmult(d, v); };
-      dl.op.apply_hooked = [op](DVec &d, const DVec &v, const RangeFn &pre,
-                                const RangeFn &post) {
-        op->vmult(d, v, pre, post);
-      };
       const unsigned int block = mf_fine_.dofs_per_cell(s);
       dl.x.reinit(part, comm, block);
       dl.b.reinit(part, comm, block);
@@ -474,18 +426,12 @@ private:
       levels_.push_back(std::move(level));
     }
 
-    // DG levels from low to high degree; these operators implement the
-    // contract-v2 hooked cell loop, so the fused Chebyshev smoother's
-    // per-batch updates ride the matrix-free traversal
+    // DG levels from low to high degree
     for (std::size_t s = dg_degrees_.size(); s-- > 0;)
     {
       Level level;
       const auto *op = &dg_ops_[s];
       level.op.apply = [op](LVec &d, const LVec &s2) { op->vmult(d, s2); };
-      level.op.apply_hooked = [op](LVec &d, const LVec &s2,
-                                   const RangeFn &pre, const RangeFn &post) {
-        op->vmult(d, s2, pre, post);
-      };
       level.n_dofs = op->n_dofs();
       levels_.push_back(std::move(level));
     }

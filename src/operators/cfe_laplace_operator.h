@@ -7,15 +7,11 @@
 // conditions on the fly. Also provides the assembled CSR matrix for the
 // algebraic coarse solver.
 //
-// Evaluation interface per operators/README.md (contract v2): hooked
-// vmult(dst, src, pre, post) for the homogeneous action (the level
-// operators of the V-cycle act on residuals, so no inhomogeneous apply is
-// needed). Vertex dofs are shared between cells, so per-batch hook ranges
-// would overlap: the contract degrades to a single whole-range pre before
-// the loop and a single whole-range post after the Dirichlet rows.
+// Evaluation interface per operators/README.md: vmult(dst, src) for the
+// homogeneous action (the level operators of the V-cycle act on residuals,
+// so no inhomogeneous apply is needed).
 
 #include "amg/sparse_matrix.h"
-#include "common/loop_hooks.h"
 #include "instrumentation/profiler.h"
 #include "matrixfree/fe_evaluation.h"
 #include "operators/cfe_space.h"
@@ -45,9 +41,7 @@ public:
 
   void initialize_vector(VectorType &v) const { v.reinit(n_dofs()); }
 
-  template <typename PreFn = NoRangeHook, typename PostFn = NoRangeHook>
-  void vmult(VectorType &dst, const VectorType &src, PreFn &&pre = PreFn(),
-             PostFn &&post = PostFn()) const
+  void vmult(VectorType &dst, const VectorType &src) const
   {
     dst.reinit(n_dofs(), true);
     dst = Number(0);
@@ -55,10 +49,6 @@ public:
     DGFLOW_PROF_COUNT("mf_cell_batches", mf_->n_cell_batches());
     DGFLOW_PROF_COUNT("mf_dofs", src.size() + dst.size());
     DGFLOW_PROF_THROUGHPUT("cfe_laplace", src.size());
-
-    // shared vertex dofs: whole-range hook degradation (see header comment)
-    if constexpr (!internal::is_no_hook_v<PreFn>)
-      pre(0, src.size());
 
     FEEvaluation<Number, 1> phi(*mf_, space_, quad_);
     const unsigned int npc = phi.dofs_per_component;
@@ -77,9 +67,6 @@ public:
     for (std::size_t i = 0; i < n_dofs(); ++i)
       if (cfe_->dirichlet[i])
         dst[i] += src[i];
-
-    if constexpr (!internal::is_no_hook_v<PostFn>)
-      post(0, dst.size());
   }
 
   void compute_diagonal(VectorType &diag) const

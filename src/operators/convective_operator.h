@@ -187,9 +187,7 @@ public:
       return LoopKernels{cell, inner, boundary};
     };
 
-    const unsigned int block = 3 * mf_->dofs_per_cell(space_);
-    cell_face_loop(*mf_, dst, src, block, block, make_kernels, NoRangeHook{},
-                   NoRangeHook{});
+    cell_face_loop(*mf_, dst, src, make_kernels);
   }
 
   /// Local Lax-Friedrichs flux of the divergence-form convective term.

@@ -7,11 +7,8 @@
 // each other, which the test suite verifies.
 //
 // Both operators follow the unified evaluation interface documented in
-// operators/README.md (contract v2): hooked vmult(dst, src, pre, post) for
-// the homogeneous action, apply for the time-dependent action with
-// inhomogeneous boundary data. The spaces differ between src and dst, so
-// the pre hooks tile the src space's cell blocks and the post hooks the
-// dst space's.
+// operators/README.md: vmult(dst, src) for the homogeneous action, apply
+// for the time-dependent action with inhomogeneous boundary data.
 
 #include "instrumentation/profiler.h"
 #include "matrixfree/cell_loop.h"
@@ -45,25 +42,20 @@ public:
   {
     dst.reinit(mf_->n_dofs(p_space_, 1), true);
     dst = Number(0);
-    apply_add(dst, src, t, true, NoRangeHook(), NoRangeHook());
+    apply_add(dst, src, t, true);
   }
 
   /// Homogeneous action (boundary data zeroed).
-  template <typename PreFn = NoRangeHook, typename PostFn = NoRangeHook>
-  void vmult(VectorType &dst, const VectorType &src, PreFn &&pre = PreFn(),
-             PostFn &&post = PostFn()) const
+  void vmult(VectorType &dst, const VectorType &src) const
   {
     dst.reinit(mf_->n_dofs(p_space_, 1), true);
     dst = Number(0);
-    apply_add(dst, src, 0., false, std::forward<PreFn>(pre),
-              std::forward<PostFn>(post));
+    apply_add(dst, src, 0., false);
   }
 
 private:
-  template <typename PreFn, typename PostFn>
   void apply_add(VectorType &dst, const VectorType &src, const double t,
-                 const bool use_boundary_values, PreFn &&pre,
-                 PostFn &&post) const
+                 const bool use_boundary_values) const
   {
     DGFLOW_PROF_SCOPE("divergence");
     DGFLOW_PROF_COUNT("mf_dofs", src.size() + dst.size());
@@ -146,9 +138,7 @@ private:
       return LoopKernels{cell, inner, boundary};
     };
 
-    cell_face_loop(*mf_, dst, src, mf_->dofs_per_cell(p_space_),
-                   3 * mf_->dofs_per_cell(u_space_), make_kernels,
-                   std::forward<PreFn>(pre), std::forward<PostFn>(post));
+    cell_face_loop(*mf_, dst, src, make_kernels);
   }
 
   const MatrixFree<Number> *mf_ = nullptr;
@@ -180,25 +170,20 @@ public:
   {
     dst.reinit(mf_->n_dofs(u_space_, 3), true);
     dst = Number(0);
-    apply_add(dst, src, t, true, NoRangeHook(), NoRangeHook());
+    apply_add(dst, src, t, true);
   }
 
   /// Homogeneous action (boundary data zeroed).
-  template <typename PreFn = NoRangeHook, typename PostFn = NoRangeHook>
-  void vmult(VectorType &dst, const VectorType &src, PreFn &&pre = PreFn(),
-             PostFn &&post = PostFn()) const
+  void vmult(VectorType &dst, const VectorType &src) const
   {
     dst.reinit(mf_->n_dofs(u_space_, 3), true);
     dst = Number(0);
-    apply_add(dst, src, 0., false, std::forward<PreFn>(pre),
-              std::forward<PostFn>(post));
+    apply_add(dst, src, 0., false);
   }
 
 private:
-  template <typename PreFn, typename PostFn>
   void apply_add(VectorType &dst, const VectorType &src, const double t,
-                 const bool use_boundary_values, PreFn &&pre,
-                 PostFn &&post) const
+                 const bool use_boundary_values) const
   {
     DGFLOW_PROF_SCOPE("gradient");
     DGFLOW_PROF_COUNT("mf_dofs", src.size() + dst.size());
@@ -286,9 +271,7 @@ private:
       return LoopKernels{cell, inner, boundary};
     };
 
-    cell_face_loop(*mf_, dst, src, 3 * mf_->dofs_per_cell(u_space_),
-                   mf_->dofs_per_cell(p_space_), make_kernels,
-                   std::forward<PreFn>(pre), std::forward<PostFn>(post));
+    cell_face_loop(*mf_, dst, src, make_kernels);
   }
 
   const MatrixFree<Number> *mf_ = nullptr;

@@ -5,10 +5,9 @@
 // velocity Dirichlet (mirror ghost) and Neumann (do-nothing) boundaries.
 // With mass_factor = 0 this is the pure viscous operator V(U).
 //
-// Evaluation interface per operators/README.md (contract v2): hooked
-// vmult(dst, src, pre, post) for the homogeneous action; inhomogeneous
-// boundary data enters via add_boundary_rhs (the operator itself is
-// time-independent).
+// Evaluation interface per operators/README.md: vmult(dst, src) for the
+// homogeneous action; inhomogeneous boundary data enters via
+// add_boundary_rhs (the operator itself is time-independent).
 
 #include "instrumentation/profiler.h"
 #include "matrixfree/cell_loop.h"
@@ -42,9 +41,7 @@ public:
 
   std::size_t n_dofs() const { return mf_->n_dofs(space_, 3); }
 
-  template <typename PreFn = NoRangeHook, typename PostFn = NoRangeHook>
-  void vmult(VectorType &dst, const VectorType &src, PreFn &&pre = PreFn(),
-             PostFn &&post = PostFn()) const
+  void vmult(VectorType &dst, const VectorType &src) const
   {
     dst.reinit(n_dofs(), true);
     dst = Number(0);
@@ -138,9 +135,7 @@ public:
       return LoopKernels{cell, inner, boundary};
     };
 
-    const unsigned int block = 3 * mf_->dofs_per_cell(space_);
-    cell_face_loop(*mf_, dst, src, block, block, make_kernels,
-                   std::forward<PreFn>(pre), std::forward<PostFn>(post));
+    cell_face_loop(*mf_, dst, src, make_kernels);
   }
 
   /// Adds the inhomogeneous boundary contributions to @p rhs: Dirichlet data

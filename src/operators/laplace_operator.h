@@ -6,9 +6,9 @@
 // the left-hand side of the pressure Poisson equation (2) and the workhorse
 // of the multigrid smoother benchmarks (Figs. 6-10).
 //
-// Evaluation interface per operators/README.md (contract v2): hooked
-// vmult(dst, src, pre, post) for the homogeneous action, driven by the
-// shared cell_face_loop; inhomogeneous data enters via assemble_rhs.
+// Evaluation interface per operators/README.md: vmult(dst, src) for the
+// homogeneous action, driven by the shared cell_face_loop; inhomogeneous
+// data enters via assemble_rhs.
 
 #include "instrumentation/profiler.h"
 #include "matrixfree/cell_loop.h"
@@ -51,15 +51,8 @@ public:
   /// exchange overlapped behind the owned-cell loop. dst comes back
   /// owned-only (both sides of a cut face evaluate the full flux and keep
   /// their own side, so no compress is needed); src is left ghosted.
-  ///
-  /// Contract v2 hooks: pre/post are per-cell-batch DoF-range callbacks
-  /// executed by cell_face_loop before the batch's src entries are first
-  /// read and after its dst entries are last written (loop_hooks.h); the
-  /// defaults compile the scheduling away.
-  template <typename VectorType2, typename PreFn = NoRangeHook,
-            typename PostFn = NoRangeHook>
-  void vmult(VectorType2 &dst, const VectorType2 &src, PreFn &&pre = PreFn(),
-             PostFn &&post = PostFn()) const
+  template <typename VectorType2>
+  void vmult(VectorType2 &dst, const VectorType2 &src) const
   {
     if constexpr (is_distributed_vector_v<VectorType2>)
       dst.reinit_like(src, true);
@@ -144,9 +137,7 @@ public:
       return LoopKernels{cell, inner, boundary};
     };
 
-    const unsigned int block = mf_->dofs_per_cell(space_);
-    cell_face_loop(*mf_, dst, src, block, block, make_kernels,
-                   std::forward<PreFn>(pre), std::forward<PostFn>(post));
+    cell_face_loop(*mf_, dst, src, make_kernels);
   }
 
   /// Assembles the right-hand side for -laplace(u) = f with Dirichlet data

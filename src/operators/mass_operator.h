@@ -6,10 +6,10 @@
 // exploits for the cheap M^{-1} applications in Eqs. (1) and (3) and as the
 // preconditioner of the projection/penalty solves (paper Section 5.3).
 //
-// Evaluation interface per operators/README.md (contract v2): hooked
-// vmult(dst, src, pre, post) driven by cell_only_loop (the operator is
-// cell-local and time-independent); apply_inverse is the extra
-// exact-inverse entry point the splitting scheme relies on.
+// Evaluation interface per operators/README.md: vmult(dst, src) driven by
+// cell_only_loop (the operator is cell-local and time-independent);
+// apply_inverse is the extra exact-inverse entry point the splitting scheme
+// relies on.
 
 #include "instrumentation/profiler.h"
 #include "matrixfree/cell_loop.h"
@@ -36,29 +36,22 @@ public:
 
   std::size_t n_dofs() const { return mf_->n_dofs(space_, n_components); }
 
-  template <typename PreFn = NoRangeHook, typename PostFn = NoRangeHook>
-  void vmult(VectorType &dst, const VectorType &src, PreFn &&pre = PreFn(),
-             PostFn &&post = PostFn()) const
+  void vmult(VectorType &dst, const VectorType &src) const
   {
     dst.reinit(n_dofs(), true);
-    apply_scaled<false>(dst, src, std::forward<PreFn>(pre),
-                        std::forward<PostFn>(post));
+    apply_scaled<false>(dst, src);
   }
 
   /// dst = M^{-1} src (exact, diagonal in the collocated basis).
-  template <typename PreFn = NoRangeHook, typename PostFn = NoRangeHook>
-  void apply_inverse(VectorType &dst, const VectorType &src,
-                     PreFn &&pre = PreFn(), PostFn &&post = PostFn()) const
+  void apply_inverse(VectorType &dst, const VectorType &src) const
   {
     dst.reinit(n_dofs(), true);
-    apply_scaled<true>(dst, src, std::forward<PreFn>(pre),
-                       std::forward<PostFn>(post));
+    apply_scaled<true>(dst, src);
   }
 
 private:
-  template <bool inverse, typename PreFn, typename PostFn>
-  void apply_scaled(VectorType &dst, const VectorType &src, PreFn &&pre,
-                    PostFn &&post) const
+  template <bool inverse>
+  void apply_scaled(VectorType &dst, const VectorType &src) const
   {
     DGFLOW_PROF_SCOPE(inverse ? "mass_inverse" : "mass");
     DGFLOW_PROF_COUNT("mf_dofs", src.size() + dst.size());
@@ -83,9 +76,7 @@ private:
         }
       };
     };
-    const unsigned int block = nq * n_components;
-    cell_only_loop(*mf_, dst, src, block, block, make_cell,
-                   std::forward<PreFn>(pre), std::forward<PostFn>(post));
+    cell_only_loop(*mf_, dst, make_cell);
   }
 
   const MatrixFree<Number> *mf_ = nullptr;

@@ -8,10 +8,10 @@
 // inverse mass operator; the penalty parameters follow Fehn et al. (2018):
 // tau_D = zeta * ||u||_e * h_e / (k+1), tau_C = zeta * ||u||_f.
 //
-// Evaluation interface per operators/README.md (contract v2): hooked
-// vmult(dst, src, pre, post) (the operator depends on time only through
-// update(), not on boundary data; boundary faces carry no penalty term,
-// so the boundary callback of the shared loop is a no-op).
+// Evaluation interface per operators/README.md: vmult(dst, src) (the
+// operator depends on time only through update(), not on boundary data;
+// boundary faces carry no penalty term, so the boundary callback of the
+// shared loop is a no-op).
 
 #include "instrumentation/profiler.h"
 #include "matrixfree/cell_loop.h"
@@ -97,9 +97,7 @@ public:
   std::size_t n_dofs() const { return mf_->n_dofs(space_, 3); }
 
   /// dst = (M + dt A_pen) src
-  template <typename PreFn = NoRangeHook, typename PostFn = NoRangeHook>
-  void vmult(VectorType &dst, const VectorType &src, PreFn &&pre = PreFn(),
-             PostFn &&post = PostFn()) const
+  void vmult(VectorType &dst, const VectorType &src) const
   {
     dst.reinit(n_dofs(), true);
     dst = Number(0);
@@ -153,15 +151,13 @@ public:
         phi_p->distribute_local_to_global(dst_v);
       };
 
-      // no boundary penalty term, but the loop still drives the hook schedule
+      // no boundary penalty term
       const auto boundary = [](const unsigned int) {};
 
       return LoopKernels{cell, inner, boundary};
     };
 
-    const unsigned int block = 3 * mf_->dofs_per_cell(space_);
-    cell_face_loop(*mf_, dst, src, block, block, make_kernels,
-                   std::forward<PreFn>(pre), std::forward<PostFn>(post));
+    cell_face_loop(*mf_, dst, src, make_kernels);
   }
 
 private:

@@ -10,15 +10,6 @@
 // iteration with a failed SolveStats carrying the SolveFailure reason, so
 // callers can fall back (RecoveringSolver) or reject the time step.
 //
-// Fused loops: when the operator implements the contract-v2 hooked vmult
-// (HookedOperatorFor) and SolverControl::fuse_loops is on, the
-// search-direction update p = beta*p + z rides the next vmult's pre hooks
-// (each cell batch's slice updated right before the operator reads it) and
-// the x/r updates merge into one sweep — the merged solver kernels of
-// Muething et al., saving two full passes of vector traffic per iteration.
-// The arithmetic is element-for-element the classic expressions, so fused
-// and unfused iterates agree bitwise.
-//
 // ABFT guard: with SolverControl::abft_replay_interval > 0 the solver
 // periodically replays the true residual and the CG orthogonality relation
 // to catch silent data corruption in its Krylov vectors, rolling back to the
@@ -49,9 +40,6 @@ struct SolverControl
   /// declare stagnation after this many consecutive iterations without any
   /// residual improvement (0 disables the check)
   unsigned int stagnation_window = 100;
-  /// fold the solver's BLAS-1 updates into the operator's hooked cell loop
-  /// (no effect on operators without contract-v2 hooks)
-  bool fuse_loops = true;
   /// distributed failure detection: when set, solve_cg calls the hook at
   /// iteration boundaries (honoring its stride) so all ranks agree on
   /// live-or-dead before the next collective; nullptr (the default) costs
@@ -197,7 +185,6 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
 {
   using Number = typename VectorType::value_type;
   constexpr bool distributed = is_distributed_vector_v<VectorType>;
-  constexpr bool hooked = HookedOperatorFor<Operator, VectorType>;
   DGFLOW_PROF_SCOPE("cg");
   Timer solve_timer;
   SolveStats result;
@@ -271,10 +258,6 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
   double best_res = res_norm;
   unsigned int last_improvement = 0;
 
-  // fused mode defers p = beta*p + z into the next vmult's pre hooks
-  Number beta = Number(0);
-  bool pending_beta = false;
-
   // ABFT rolling snapshot: the initial state is validated by construction
   // (r was just computed as b - A x directly), so a drift detected at the
   // very first replay boundary can already roll back
@@ -305,7 +288,6 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
     rz = snap_rz;
     res_norm = snap_res;
     result.final_residual = res_norm;
-    pending_beta = false;
     if constexpr (distributed)
     {
       x.invalidate_ghosts();
@@ -346,14 +328,6 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
     }
     if (abft_m > 0 && it > 1 && (it - 1) % abft_m == 0)
     {
-      // materialize the deferred search-direction update first so the
-      // invariant checks and the snapshot see the true p (the element
-      // expression is the one the hook would apply: bitwise identical)
-      if (pending_beta)
-      {
-        p.sadd(beta, Number(1), z);
-        pending_beta = false;
-      }
       ++result.residual_replays;
       unsigned int rebuilt = 0;
       if (control.abft_scrub)
@@ -410,27 +384,7 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
         continue; // redo the window from the validated state
       }
     }
-    if constexpr (hooked)
-    {
-      if (pending_beta)
-      {
-        // the operator fires this per cell batch right before reading the
-        // batch's p entries (cut-face batches before the ghost exchange),
-        // so Ap = A * (beta*p + z) without a separate sweep over p
-        const Number beta_c = beta;
-        Number *DGFLOW_RESTRICT pd = p.data();
-        const Number *DGFLOW_RESTRICT zd = z.data();
-        A.vmult(Ap, p, [=](const std::size_t r0, const std::size_t r1) {
-          for (std::size_t i = r0; i < r1; ++i)
-            pd[i] = beta_c * pd[i] + zd[i];
-        });
-        pending_beta = false;
-      }
-      else
-        A.vmult(Ap, p);
-    }
-    else
-      A.vmult(Ap, p);
+    A.vmult(Ap, p);
     const Number pAp = p.dot(Ap);
     if (!std::isfinite(double(pAp)) || !std::isfinite(double(rz)))
     {
@@ -459,41 +413,8 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
       break;
     }
     const Number alpha = rz / pAp;
-    if constexpr (hooked)
-    {
-      if (control.fuse_loops)
-      {
-        // one merged sweep instead of two (bitwise equal: the element
-        // updates are independent and use the classic expressions)
-        Number *DGFLOW_RESTRICT xd = x.data();
-        Number *DGFLOW_RESTRICT rd = r.data();
-        const Number *DGFLOW_RESTRICT pd = p.data();
-        const Number *DGFLOW_RESTRICT apd = Ap.data();
-        concurrency::ThreadPool::instance().parallel_for(
-          x.size(), [&](const std::size_t i0, const std::size_t i1) {
-            for (std::size_t i = i0; i < i1; ++i)
-            {
-              xd[i] += alpha * pd[i];
-              rd[i] += (-alpha) * apd[i];
-            }
-          });
-        if constexpr (distributed)
-        {
-          x.invalidate_ghosts();
-          r.invalidate_ghosts();
-        }
-      }
-      else
-      {
-        x.add(alpha, p);
-        r.add(-alpha, Ap);
-      }
-    }
-    else
-    {
-      x.add(alpha, p);
-      r.add(-alpha, Ap);
-    }
+    x.add(alpha, p);
+    r.add(-alpha, Ap);
 
     res_norm = double(r.l2_norm());
     result.iterations = it;
@@ -550,17 +471,9 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
 
     P.vmult(z, r);
     const Number rz_new = r.dot(z);
-    beta = rz_new / rz;
+    const Number beta = rz_new / rz;
     rz = rz_new;
-    if constexpr (hooked)
-    {
-      if (control.fuse_loops)
-        pending_beta = true; // p = beta*p + z rides the next vmult
-      else
-        p.sadd(beta, Number(1), z);
-    }
-    else
-      p.sadd(beta, Number(1), z);
+    p.sadd(beta, Number(1), z);
   }
   if (!result.converged && result.failure == SolveFailure::none)
     result.failure = SolveFailure::max_iterations;

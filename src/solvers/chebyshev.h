@@ -35,10 +35,6 @@ struct ChebyshevData
   double smoothing_range = 20.; ///< lambda_max / lambda_min of the smoothed band
   double max_eigenvalue_safety = 1.2;
   unsigned int power_iterations = 20;
-  /// fold the residual/direction/solution updates into the operator's
-  /// hooked cell loop (contract v2); ignored for operators without hooks.
-  /// The fused sweep is bitwise identical to the classic one.
-  bool fuse_loops = true;
   /// distributed failure detection: when set, every smoothing sweep opens
   /// with an agreement boundary so a dead peer is detected before the
   /// sweep's ghost exchanges turn into timeouts on the survivors; nullptr
@@ -118,13 +114,6 @@ public:
 
   /// One smoothing sweep: improves x for A x = b, starting from the given x
   /// (pass x = 0 for the pre-smoother on the residual equation).
-  ///
-  /// With a contract-v2 hooked operator and fuse_loops on, every
-  /// residual/direction/solution update rides the operator's post hooks:
-  /// each cell batch's slice of r = D^{-1}(b - Ax), d and x is updated the
-  /// moment the traversal is done with it, while it is still in cache —
-  /// the whole sweep makes no separate BLAS-1 passes. The per-element
-  /// expressions are the classic ones, so the result is bitwise identical.
   void smooth(VectorType &x, const VectorType &b,
               const bool zero_initial_guess) const
   {
@@ -143,15 +132,6 @@ public:
       abft_in_.reinit_like(x, true);
       abft_in_.equ(Number(1), x);
     }
-
-    if constexpr (HookedOperatorFor<Operator, VectorType>)
-      if (data_.fuse_loops)
-      {
-        smooth_fused(x, b, zero_initial_guess, theta, delta);
-        if (data_.abft_check)
-          abft_check_result(x, b, zero_initial_guess);
-        return;
-      }
 
     // r = D^{-1} (b - A x)
     if (zero_initial_guess)
@@ -219,79 +199,6 @@ public:
   }
 
 private:
-  /// The fused sweep: called only for hooked operators. Each vmult's post
-  /// hook performs the full update chain on the completed DoF range; the
-  /// chain mutates both the vmult's dst (r_) and src (x), which the
-  /// contract permits once a range's last face is processed. The Chebyshev
-  /// coefficients never depend on a reduction, so every scalar is known
-  /// before its vmult — the sweep has no separate vector passes at all.
-  void smooth_fused(VectorType &x, const VectorType &b,
-                    const bool zero_initial_guess, const double theta,
-                    const double delta) const
-  {
-    constexpr bool distributed = is_distributed_vector_v<VectorType>;
-    const Number theta_inv = Number(1. / theta);
-
-    const auto fused_step = [&](const Number coef_d, const Number coef_r,
-                                const bool first) {
-      op_->vmult(r_, x, NoRangeHook(),
-                 [&, coef_d, coef_r, first](const std::size_t r0,
-                                            const std::size_t r1) {
-                   Number *DGFLOW_RESTRICT rd = r_.data();
-                   Number *DGFLOW_RESTRICT dd = d_.data();
-                   Number *DGFLOW_RESTRICT xd = x.data();
-                   const Number *DGFLOW_RESTRICT bd = b.data();
-                   const Number *DGFLOW_RESTRICT invd = inv_diag_.data();
-                   for (std::size_t i = r0; i < r1; ++i)
-                   {
-                     rd[i] = Number(-1) * rd[i] + Number(1) * bd[i];
-                     rd[i] *= invd[i];
-                     dd[i] = first ? coef_r * rd[i]
-                                   : coef_d * dd[i] + coef_r * rd[i];
-                     xd[i] += Number(1) * dd[i];
-                   }
-                 });
-      // the post hooks mutated x (the vmult's src) after the ghost
-      // exchange, so the neighbors' copies are stale now
-      if constexpr (distributed)
-        x.invalidate_ghosts();
-    };
-
-    if (zero_initial_guess)
-    {
-      // no matvec needed: r = D^{-1} b, d = r/theta, x = d in one sweep
-      Number *DGFLOW_RESTRICT rd = r_.data();
-      Number *DGFLOW_RESTRICT dd = d_.data();
-      Number *DGFLOW_RESTRICT xd = x.data();
-      const Number *DGFLOW_RESTRICT bd = b.data();
-      const Number *DGFLOW_RESTRICT invd = inv_diag_.data();
-      concurrency::ThreadPool::instance().parallel_for(
-        x.size(), [&](const std::size_t i0, const std::size_t i1) {
-          for (std::size_t i = i0; i < i1; ++i)
-          {
-            rd[i] = bd[i];
-            rd[i] *= invd[i];
-            dd[i] = theta_inv * rd[i];
-            xd[i] = Number(0) + Number(1) * dd[i];
-          }
-        });
-      if constexpr (distributed)
-        x.invalidate_ghosts();
-    }
-    else
-      fused_step(Number(0), theta_inv, /*first=*/true);
-
-    const double sigma1 = theta / delta;
-    double rho_old = 1. / sigma1;
-    for (unsigned int k = 1; k < data_.degree; ++k)
-    {
-      const double rho = 1. / (2. * sigma1 - rho_old);
-      fused_step(Number(rho * rho_old), Number(2. * rho / delta),
-                 /*first=*/false);
-      rho_old = rho;
-    }
-  }
-
   /// The ABFT sweep guard: purely local scan of the sweep result against
   /// non-finite entries and the energy bound; a violation discards the
   /// sweep (x back to its input) and counts a repair. Restoring locally is

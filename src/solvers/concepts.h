@@ -7,9 +7,6 @@
 // fails at the call site.
 
 #include <concepts>
-#include <cstddef>
-
-#include "common/loop_hooks.h"
 
 namespace dgflow
 {
@@ -22,17 +19,6 @@ template <typename P, typename VectorType>
 concept PreconditionerFor =
   requires(P &p, VectorType &dst, const VectorType &src) {
     p.vmult(dst, src);
-  };
-
-/// An operator whose vmult implements the contract-v2 hooked cell loop
-/// (operators/README.md): vmult(dst, src, pre, post) with per-DoF-range
-/// callbacks. Solvers use this to decide at compile time whether their
-/// BLAS-1 updates can ride the operator's cell loop; operators without
-/// hooks fall back to the classic separate-sweep iteration.
-template <typename Op, typename VectorType>
-concept HookedOperatorFor =
-  requires(const Op &op, VectorType &dst, const VectorType &src) {
-    op.vmult(dst, src, NoRangeHook(), NoRangeHook());
   };
 
 /// The plain homogeneous action every solver needs.

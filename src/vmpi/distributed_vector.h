@@ -133,9 +133,9 @@ public:
 
   GhostState ghost_state() const { return state_; }
 
-  /// Marks the ghost section stale without touching any data. Solver hooks
-  /// that mutate owned entries through raw indexing (the fused cell-loop
-  /// post hooks) call this so the ghost-state guard keeps catching stale
+  /// Marks the ghost section stale without touching any data. Code that
+  /// mutates owned entries through raw indexing (fault injection, the ABFT
+  /// rollback) calls this so the ghost-state guard keeps catching stale
   /// reads; the next vmult re-exchanges regardless.
   void invalidate_ghosts() const { state_ = GhostState::owned_only; }
 

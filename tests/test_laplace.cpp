@@ -322,7 +322,7 @@ TEST(CGSolver, SolvesDiagonalSystemExactly)
 
 #include <memory>
 
-#include "fem/kernel_dispatch.h"
+#include "fem/kernel_backend.h"
 
 namespace
 {
@@ -334,7 +334,8 @@ Vector<double> laplace_action(const Mesh &mesh, const Geometry &geom,
                               const bool compress, const bool specialized,
                               GeometryType *observed_type = nullptr)
 {
-  set_specialized_kernels_enabled(specialized);
+  set_default_kernel_backend(specialized ? KernelBackendType::batch
+                                         : KernelBackendType::generic);
   MatrixFree<double> mf;
   MatrixFree<double>::AdditionalData data;
   data.degrees = {degree};
@@ -349,7 +350,7 @@ Vector<double> laplace_action(const Mesh &mesh, const Geometry &geom,
   const auto u = random_vec(laplace.n_dofs(), 99);
   Vector<double> au(u.size());
   laplace.vmult(au, u);
-  set_specialized_kernels_enabled(true);
+  set_default_kernel_backend(KernelBackendType::batch);
   return au;
 }
 
@@ -462,7 +463,6 @@ TEST(LaplaceFastPath, FullyGenericPathMatchesFullFastPath)
 #include <cstring>
 
 #include "concurrency/thread_pool.h"
-#include "fem/kernel_backend.h"
 #include "mesh/partition.h"
 #include "vmpi/distributed_vector.h"
 #include "vmpi/partitioner.h"

@@ -330,6 +330,7 @@ TEST(EvenOddFEEvaluation, MatchesGenericPath)
 // ULPs (identical operation order; only FMA contraction may differ).
 // ---------------------------------------------------------------------------
 
+#include "fem/kernel_backend.h"
 #include "fem/kernel_dispatch.h"
 #include "fem/kernel_dispatch_sizes.h"
 
@@ -385,11 +386,11 @@ TEST(KernelDispatch, CoversAllListedSizesAndOnlyThose)
 
 TEST(KernelDispatch, DisableSwitchForcesGenericPath)
 {
-  ASSERT_TRUE(specialized_kernels_enabled());
-  set_specialized_kernels_enabled(false);
+  ASSERT_EQ(default_kernel_backend(), KernelBackendType::batch);
+  set_default_kernel_backend(KernelBackendType::generic);
   EXPECT_EQ(lookup_cell_kernels<double>(3, 4), nullptr);
   EXPECT_EQ(lookup_face_kernels<double>(3, 4), nullptr);
-  set_specialized_kernels_enabled(true);
+  set_default_kernel_backend(KernelBackendType::batch);
   EXPECT_NE(lookup_cell_kernels<double>(3, 4), nullptr);
 }
 
@@ -617,15 +618,14 @@ TEST(KernelBackend, SoALookupCoversAllListedSizesAndOnlyThose)
   EXPECT_EQ(lookup_soa_face_kernels<double>(3, 9), nullptr);
 }
 
-TEST(KernelBackend, DeprecatedShimMapsOntoBackendDefault)
+TEST(KernelBackend, GenericDefaultDisablesSoADispatch)
 {
   ASSERT_EQ(default_kernel_backend(), KernelBackendType::batch);
-  ASSERT_TRUE(specialized_kernels_enabled());
-  set_specialized_kernels_enabled(false);
+  set_default_kernel_backend(KernelBackendType::generic);
   EXPECT_EQ(default_kernel_backend(), KernelBackendType::generic);
   EXPECT_EQ(lookup_soa_cell_kernels<double>(3, 4), nullptr);
   EXPECT_EQ(lookup_soa_face_kernels<double>(3, 4), nullptr);
-  set_specialized_kernels_enabled(true);
+  set_default_kernel_backend(KernelBackendType::batch);
   EXPECT_EQ(default_kernel_backend(), KernelBackendType::batch);
   EXPECT_NE(lookup_soa_cell_kernels<double>(3, 4), nullptr);
 }

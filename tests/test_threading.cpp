@@ -3,11 +3,11 @@
 // (every chunk runs exactly once, exceptions propagate, nested regions fall
 // back to inline-serial), a stress test of the spin-then-park fork-join
 // handoff, strict parsing of the DGFLOW_THREADS knob, and the determinism
-// contract of the threaded loops — vmult, the fused Jacobi-CG solve, the
-// fused Chebyshev sweep, the convective operator and whole INSSolver time
-// steps must be BITWISE identical to the single-threaded run at any thread
-// count, serially and (vmult, CG) on four vmpi ranks with per-rank thread
-// partitions.
+// contract of the threaded loops — vmult, the Jacobi-CG solve, the
+// Chebyshev sweep, the convective operator and whole INSSolver time steps
+// must be BITWISE identical to the single-threaded run at any thread count,
+// serially and (vmult, CG, Chebyshev) on four vmpi ranks with per-rank
+// thread partitions.
 
 #include <gtest/gtest.h>
 
@@ -322,7 +322,7 @@ struct ThreadedRun
 };
 
 /// Builds the operator with an nt-chunk thread partition on an nt-wide pool
-/// and runs vmult, a fused Jacobi-CG solve and a fused Chebyshev sweep.
+/// and runs vmult, a Jacobi-CG solve and two Chebyshev sweeps.
 ThreadedRun run_threaded(const Mesh &mesh, const unsigned int degree,
                          const unsigned int nt)
 {
@@ -350,7 +350,6 @@ ThreadedRun run_threaded(const Mesh &mesh, const unsigned int degree,
   SolverControl control;
   control.rel_tol = 1e-10;
   control.max_iterations = 200;
-  control.fuse_loops = true;
   run.cg_x.reinit(laplace.n_dofs());
   const auto stats = solve_cg(laplace, run.cg_x, src, jacobi, control);
   EXPECT_TRUE(stats.converged);
@@ -358,7 +357,6 @@ ThreadedRun run_threaded(const Mesh &mesh, const unsigned int degree,
   ChebyshevSmoother<LaplaceOperator<double>, Vector<double>> smoother;
   ChebyshevData cdata;
   cdata.degree = 4;
-  cdata.fuse_loops = true;
   smoother.reinit(laplace, diag, cdata);
   run.cheb_x.reinit(laplace.n_dofs());
   smoother.smooth(run.cheb_x, src, /*zero_initial_guess=*/true);
@@ -367,7 +365,7 @@ ThreadedRun run_threaded(const Mesh &mesh, const unsigned int degree,
 }
 } // namespace
 
-TEST(ThreadDeterminismTest, VmultFusedCGAndChebyshevAreBitwiseIdentical)
+TEST(ThreadDeterminismTest, VmultCGAndChebyshevAreBitwiseIdentical)
 {
   ScopedPoolWidth guard;
   const Mesh mesh = make_mesh(2);
@@ -379,9 +377,9 @@ TEST(ThreadDeterminismTest, VmultFusedCGAndChebyshevAreBitwiseIdentical)
     EXPECT_TRUE(bitwise_equal(run.vmult_dst, ref.vmult_dst))
       << "vmult differs at " << nt << " threads";
     EXPECT_TRUE(bitwise_equal(run.cg_x, ref.cg_x))
-      << "fused CG differs at " << nt << " threads";
+      << "CG differs at " << nt << " threads";
     EXPECT_TRUE(bitwise_equal(run.cheb_x, ref.cheb_x))
-      << "fused Chebyshev differs at " << nt << " threads";
+      << "Chebyshev differs at " << nt << " threads";
   }
 }
 
@@ -470,6 +468,7 @@ struct DistributedRun
 {
   Vector<double> vmult_dst;
   Vector<double> cg_x;
+  Vector<double> cheb_x;
 };
 
 DistributedRun run_distributed_threaded(const Mesh &mesh,
@@ -501,6 +500,7 @@ DistributedRun run_distributed_threaded(const Mesh &mesh,
   DistributedRun run;
   run.vmult_dst.reinit(laplace.n_dofs());
   run.cg_x.reinit(laplace.n_dofs());
+  run.cheb_x.reinit(laplace.n_dofs());
   vmpi::run(n_ranks, [&](vmpi::Communicator &comm) {
     const auto part = vmpi::Partitioner::cell_partitioner(
       mesh, rank_of_cell, comm.rank(), n_ranks);
@@ -520,12 +520,22 @@ DistributedRun run_distributed_threaded(const Mesh &mesh,
     SolverControl control;
     control.rel_tol = 1e-10;
     control.max_iterations = 200;
-    control.fuse_loops = true;
     sol.reinit(part, comm, dofs_per_cell);
     const auto stats = solve_cg(laplace, sol, bd, jd, control);
     EXPECT_TRUE(stats.converged);
     for (std::size_t i = 0; i < sol.size(); ++i)
       run.cg_x[sol.first_local_index() + i] = sol.data()[i];
+
+    // zero-guess sweep, then a nonzero-guess sweep on top
+    ChebyshevSmoother<LaplaceOperator<double>,
+                      vmpi::DistributedVector<double>>
+      smoother;
+    smoother.reinit(laplace, ddiag);
+    vmpi::DistributedVector<double> xc(part, comm, dofs_per_cell);
+    smoother.smooth(xc, bd, /*zero_initial_guess=*/true);
+    smoother.smooth(xc, bd, /*zero_initial_guess=*/false);
+    for (std::size_t i = 0; i < xc.size(); ++i)
+      run.cheb_x[xc.first_local_index() + i] = xc.data()[i];
   });
   return run;
 }
@@ -537,13 +547,16 @@ TEST(ThreadDeterminismTest, FourRanksTimesThreadsAreBitwiseIdentical)
   const Mesh mesh = make_mesh(2);
   const unsigned int degree = 1;
   const DistributedRun ref = run_distributed_threaded(mesh, degree, 1);
+  EXPECT_GT(ref.cheb_x.l2_norm(), 0.);
   for (const unsigned int nt : {2u, 4u})
   {
     const DistributedRun run = run_distributed_threaded(mesh, degree, nt);
     EXPECT_TRUE(bitwise_equal(run.vmult_dst, ref.vmult_dst))
       << "distributed vmult differs at " << nt << " threads per rank";
     EXPECT_TRUE(bitwise_equal(run.cg_x, ref.cg_x))
-      << "distributed fused CG differs at " << nt << " threads per rank";
+      << "distributed CG differs at " << nt << " threads per rank";
+    EXPECT_TRUE(bitwise_equal(run.cheb_x, ref.cheb_x))
+      << "distributed Chebyshev differs at " << nt << " threads per rank";
   }
 }
 
