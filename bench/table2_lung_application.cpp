@@ -5,15 +5,20 @@
 // transient, with the CFL step determining the steps per cycle); larger g
 // report the mesh statistics from the real generator plus model-projected
 // step times for the paper's node counts. The paper's rows are printed for
-// comparison.
+// comparison. Live rows also print the rejected step attempts summed over
+// the run and the last measured pressure solve (FAILED(<reason>@<it>) when
+// it did not converge), and name the thread count they ran on.
 //
 // Environment: TABLE2_MAX_G (default 3; set 5 for a longer live run)
 // bounds the generations run live;
-// TABLE2_STEPS (default 200) sets the measured steps per case.
+// TABLE2_STEPS (default 120) sets the steps per case, the last 3/4 measured;
+// DGFLOW_THREADS sizes the worker pool the live runs use.
 
 #include <cstdlib>
+#include <string>
 
 #include "bench/bench_common.h"
+#include "concurrency/thread_pool.h"
 #include "lung/lung_application.h"
 #include "perfmodel/scaling_model.h"
 
@@ -44,7 +49,7 @@ int main()
                             {11, 128, 3.5e5, 7.7e7, 2.0e6, 0.0451, 25, 57}};
 
   Table table({"g", "#cell", "#DoF", "N_dt", "t_wall/N_dt [s]", "h/cycle",
-               "h/l", "source"});
+               "h/l", "rejections", "pressure its", "source"});
 
   const double period = VentilatorSettings().period;
   const double vt_l = VentilatorSettings().target_tidal_volume / liter;
@@ -61,15 +66,18 @@ int main()
       LungApplication app(prm);
 
       double wall = 0, dt_sum = 0;
-      unsigned int measured = 0;
+      unsigned int measured = 0, rejections = 0;
+      SolveStats last_pressure;
       for (unsigned int s = 0; s < n_steps; ++s)
       {
         const auto info = app.advance();
+        rejections += info.rejections;
         if (s >= n_steps / 4) // skip the startup transient
         {
           wall += info.wall_time;
           dt_sum += info.dt;
           ++measured;
+          last_pressure = info.pressure;
         }
       }
       const double t_step = wall / measured;
@@ -82,7 +90,12 @@ int main()
                                2),
                     Table::sci(n_dt, 2), Table::format(t_step, 3),
                     Table::format(h_cycle, 3),
-                    Table::format(h_cycle / vt_l, 3), "measured (1 core)");
+                    Table::format(h_cycle / vt_l, 3), rejections,
+                    iterations_or_failure(last_pressure),
+                    "measured (" +
+                      std::to_string(
+                        concurrency::ThreadPool::instance().n_threads()) +
+                      " threads)");
     }
     else
     {
@@ -104,7 +117,7 @@ int main()
       table.add_row(row.g, int(n_cells), Table::sci(n_dofs, 2),
                     Table::sci(row.n_dt, 2), Table::format(t_step, 3),
                     Table::format(h_cycle, 3),
-                    Table::format(h_cycle / vt_l, 3),
+                    Table::format(h_cycle / vt_l, 3), "-", "-",
                     "generated mesh + model");
     }
   }

@@ -38,10 +38,10 @@ if [ -z "$DGFLOW_SKIP_VERIFY" ]; then
   # AddressSanitizer — the single-precision ghost wire packs/unpacks
   # hand-rolled buffers, and the ABFT guard flips bits in live payloads and
   # checksums raw memory regions; an out-of-range wire offset or stale
-  # artifact region must fail here, not corrupt a timing run below. The perf smoke label rides along: it drives every
-  # kernel backend (batch AoSoA tables, SoA lane-major staging, generic)
-  # through a full vmult harness, so a staging-buffer overrun in a backend
-  # fails here first.
+  # artifact region must fail here, not corrupt a timing run below. The perf
+  # smoke label rides along: it drives the fixed-size kernel tables and the
+  # runtime-extent sweeps through a full vmult harness, so a scratch-buffer
+  # overrun in either path fails here first.
   echo "verify pass: mixed_precision|abft|perf under DGFLOW_SANITIZE=address"
   cmake -B build-asan -S . -DDGFLOW_SANITIZE=address > /dev/null
   cmake --build build-asan -j \
@@ -67,7 +67,6 @@ for b in build/bench/*; do
     # benchmarks that support it also archive machine-readable results;
     # one mapping from binary name to archive name:
     #   kernels     - roofline fast-path comparison (acceptance criteria)
-    #                 + kernel-backend section (backend_soa_vs_batch_speedup*)
     #   distributed - ghost-exchange traffic validation on 1/2/4/8 ranks
     #   recovery    - agreement latency, shard checkpoints, shrink recovery
     #   abft        - SDC-guard overhead (< 3%) and the flip-repair check

@@ -1,33 +1,21 @@
-// Process-wide backend selection state and the strict DGFLOW_BACKEND parse.
-// The template backends themselves live in fem/kernel_backend_impl.h and are
-// instantiated by the kernel dispatch translation units.
+// Process-wide kernel path default. The KernelBackend members live in
+// fem/kernel_backend_impl.h and are instantiated by the kernel dispatch
+// translation units.
 
 #include "fem/kernel_backend.h"
 
 #include <atomic>
-
-#include "common/env.h"
 
 namespace dgflow
 {
 namespace
 {
 std::atomic<KernelBackendType> default_backend{KernelBackendType::batch};
-
-constexpr const char *backend_names[3] = {"batch", "soa", "generic"};
 } // namespace
 
 const char *kernel_backend_name(const KernelBackendType type)
 {
-  return backend_names[static_cast<unsigned int>(type)];
-}
-
-KernelBackendType kernel_backend_from_env(const KernelBackendType fallback)
-{
-  const unsigned int parsed =
-    env_choice("DGFLOW_BACKEND", static_cast<unsigned int>(fallback),
-               backend_names, 3);
-  return static_cast<KernelBackendType>(parsed);
+  return type == KernelBackendType::generic ? "generic" : "batch";
 }
 
 void set_default_kernel_backend(const KernelBackendType type)

@@ -1,26 +1,16 @@
 #pragma once
 
-// Backend implementations behind fem/kernel_backend.h. Included only by the
-// kernel dispatch translation units (kernel_dispatch_double.cpp /
-// kernel_dispatch_float.cpp), which explicitly instantiate
-// make_kernel_backend<double/float> - consumers see only the abstract
-// KernelBackend interface.
+// Member definitions of KernelBackend (fem/kernel_backend.h). Included only
+// by the kernel dispatch translation units (kernel_dispatch_double.cpp /
+// kernel_dispatch_float.cpp), which instantiate KernelBackend<double/float>
+// explicitly - consumers never compile the sweeps.
 //
-//  * GenericBackend reproduces the pre-backend evaluator fallback sweeps
-//    verbatim (runtime extents, even-odd or plain per the ablation flag) on
-//    the AoSoA VectorizedArray layout.
-//  * BatchBackend adds the fixed-size dispatch tables on top and falls back
-//    to the GenericBackend sweeps for uncovered sizes or a disabled fast
-//    path - the exact decision ladder FEEvaluation / FEFaceEvaluation used
-//    before the refactor, so batch results are bitwise-identical.
-//  * SoABackend stages each batch into lane-major scalar tensors
-//    (entry (lane, i) at lane * stride + i), sweeps them with the scalar
-//    stride-templated kernels of kernel_dispatch_impl.h, and stages back.
-//    The pack/compute/unpack boundary is the host-side marshalling a future
-//    APU/GPU offload needs; the quadrature-point storage handed back to the
-//    evaluators stays AoSoA.
+// Every entry point calls the fixed-size table when one was found at
+// construction and runs the runtime-extent sweep otherwise (uncovered size,
+// generic process default, or the even-odd ablation for the cell chain).
 
-#include "common/aligned_vector.h"
+#include <algorithm>
+
 #include "common/types.h"
 #include "fem/kernel_backend.h"
 #include "fem/kernel_dispatch.h"
@@ -28,588 +18,226 @@
 
 namespace dgflow
 {
-namespace internal
-{
-/// Runtime-extent sweeps on the AoSoA layout: the verified fallback path.
 template <typename Number>
-class GenericBackend : public KernelBackend<Number>
+KernelBackend<Number>::KernelBackend(const ShapeInfo<Number> &shape,
+                                     const bool use_even_odd)
+  : shape_(shape), n_(shape.n_dofs_1d), nq_(shape.n_q_1d),
+    even_odd_(use_even_odd),
+    // the fixed-size cell tables build on the even-odd decomposition; the
+    // ablation flag therefore bypasses them
+    cell_(use_even_odd
+            ? lookup_cell_kernels<Number>(shape.degree, shape.n_q_1d)
+            : nullptr),
+    face_(lookup_face_kernels<Number>(shape.degree, shape.n_q_1d))
 {
-public:
-  using VA = VectorizedArray<Number>;
-  using Base = KernelBackend<Number>;
-  using Base::n_;
-  using Base::nq_;
-  using Base::shape_;
+}
 
-  GenericBackend(const ShapeInfo<Number> &shape, const bool use_even_odd)
-    : Base(shape), even_odd_(use_even_odd)
-  {
-  }
-
-  KernelBackendType type() const override
-  {
-    return KernelBackendType::generic;
-  }
-
-  void interpolate_to_quad(const VA *dofs, VA *vq) override
-  {
-    ensure_cell_scratch();
-    if (even_odd_)
-    {
-      apply_matrix_1d_evenodd<false, false>(
-        shape_.values_eo_e.data(), shape_.values_eo_o.data(), nq_, n_, 1,
-        dofs, tmp1_.data(), 0, {{n_, n_, n_}});
-      apply_matrix_1d_evenodd<false, false>(
-        shape_.values_eo_e.data(), shape_.values_eo_o.data(), nq_, n_, 1,
-        tmp1_.data(), tmp2_.data(), 1, {{nq_, n_, n_}});
-      apply_matrix_1d_evenodd<false, false>(
-        shape_.values_eo_e.data(), shape_.values_eo_o.data(), nq_, n_, 1,
-        tmp2_.data(), vq, 2, {{nq_, nq_, n_}});
-      return;
-    }
-    apply_matrix_1d<false, false>(shape_.values.data(), nq_, n_, dofs,
-                                  tmp1_.data(), 0, {{n_, n_, n_}});
-    apply_matrix_1d<false, false>(shape_.values.data(), nq_, n_, tmp1_.data(),
-                                  tmp2_.data(), 1, {{nq_, n_, n_}});
-    apply_matrix_1d<false, false>(shape_.values.data(), nq_, n_, tmp2_.data(),
-                                  vq, 2, {{nq_, nq_, n_}});
-  }
-
-  void integrate_from_quad(const VA *vq, VA *dofs) override
-  {
-    ensure_cell_scratch();
-    if (even_odd_)
-    {
-      apply_matrix_1d_evenodd<true, false>(
-        shape_.values_eo_e.data(), shape_.values_eo_o.data(), nq_, n_, 1, vq,
-        tmp1_.data(), 2, {{nq_, nq_, nq_}});
-      apply_matrix_1d_evenodd<true, false>(
-        shape_.values_eo_e.data(), shape_.values_eo_o.data(), nq_, n_, 1,
-        tmp1_.data(), tmp2_.data(), 1, {{nq_, nq_, n_}});
-      apply_matrix_1d_evenodd<true, false>(
-        shape_.values_eo_e.data(), shape_.values_eo_o.data(), nq_, n_, 1,
-        tmp2_.data(), dofs, 0, {{nq_, n_, n_}});
-      return;
-    }
-    apply_matrix_1d<true, false>(shape_.values.data(), nq_, n_, vq,
-                                 tmp1_.data(), 2, {{nq_, nq_, nq_}});
-    apply_matrix_1d<true, false>(shape_.values.data(), nq_, n_, tmp1_.data(),
-                                 tmp2_.data(), 1, {{nq_, nq_, n_}});
-    apply_matrix_1d<true, false>(shape_.values.data(), nq_, n_, tmp2_.data(),
-                                 dofs, 0, {{nq_, n_, n_}});
-  }
-
-  void collocation_gradients(const VA *vq, VA *gq) override
-  {
-    const unsigned int nqp = nq_ * nq_ * nq_;
-    for (unsigned int d = 0; d < 3; ++d)
-    {
-      if (even_odd_)
-        apply_matrix_1d_evenodd<false, false>(
-          shape_.grad_colloc_eo_e.data(), shape_.grad_colloc_eo_o.data(), nq_,
-          nq_, -1, vq, gq + d * nqp, d, {{nq_, nq_, nq_}});
-      else
-        apply_matrix_1d<false, false>(shape_.grad_colloc.data(), nq_, nq_, vq,
-                                      gq + d * nqp, d, {{nq_, nq_, nq_}});
-    }
-  }
-
-  void collocation_gradients_transpose(const VA *gq, VA *vq,
-                                       const bool overwrite) override
-  {
-    const unsigned int nqp = nq_ * nq_ * nq_;
-    for (unsigned int d = 0; d < 3; ++d)
-    {
-      // D^T accumulates into the value array; with overwrite, the first
-      // sweep overwrites instead (no value contributions were submitted)
-      const VA *g = gq + d * nqp;
-      if (even_odd_)
-      {
-        if (overwrite && d == 0)
-          apply_matrix_1d_evenodd<true, false>(
-            shape_.grad_colloc_eo_e.data(), shape_.grad_colloc_eo_o.data(),
-            nq_, nq_, -1, g, vq, d, {{nq_, nq_, nq_}});
-        else
-          apply_matrix_1d_evenodd<true, true>(
-            shape_.grad_colloc_eo_e.data(), shape_.grad_colloc_eo_o.data(),
-            nq_, nq_, -1, g, vq, d, {{nq_, nq_, nq_}});
-      }
-      else
-      {
-        if (overwrite && d == 0)
-          apply_matrix_1d<true, false>(shape_.grad_colloc.data(), nq_, nq_, g,
-                                       vq, d, {{nq_, nq_, nq_}});
-        else
-          apply_matrix_1d<true, true>(shape_.grad_colloc.data(), nq_, nq_, g,
-                                      vq, d, {{nq_, nq_, nq_}});
-      }
-    }
-  }
-
-  void contract_to_face(const Number *v, const VA *dofs, VA *plane,
-                        const unsigned int direction) override
-  {
-    dgflow::contract_to_face<false>(v, n_, dofs, plane, direction,
-                                    {{n_, n_, n_}});
-  }
-
-  void expand_from_face_add(const Number *v, const VA *plane, VA *dofs,
-                            const unsigned int direction) override
-  {
-    dgflow::expand_from_face<true>(v, n_, plane, dofs, direction,
-                                   {{n_, n_, n_}});
-  }
-
-  void interp_plane(const Number *M0, const Number *M1, const VA *in,
-                    VA *out) override
-  {
-    ensure_face_scratch();
-    apply_matrix_2d<false, false>(M0, nq_, n_, in, ftmp_.data(), 0,
-                                  {{n_, n_}});
-    apply_matrix_2d<false, false>(M1, nq_, n_, ftmp_.data(), out, 1,
-                                  {{nq_, n_}});
-  }
-
-  void interp_plane_transpose(const Number *M0, const Number *M1, const VA *in,
-                              VA *out, const bool add) override
-  {
-    ensure_face_scratch();
-    apply_matrix_2d<true, false>(M1, nq_, n_, in, ftmp_.data(), 1,
-                                 {{nq_, nq_}});
-    if (add)
-      apply_matrix_2d<true, true>(M0, nq_, n_, ftmp_.data(), out, 0,
-                                  {{nq_, n_}});
-    else
-      apply_matrix_2d<true, false>(M0, nq_, n_, ftmp_.data(), out, 0,
-                                   {{nq_, n_}});
-  }
-
-protected:
-  // scratch sized on first use: a backend serving only the face chain never
-  // allocates the (larger) cell sweep buffers and vice versa
-  void ensure_cell_scratch()
-  {
-    if (tmp1_.empty())
-    {
-      const unsigned int m = std::max(n_, nq_);
-      tmp1_.resize(m * m * m);
-      tmp2_.resize(m * m * m);
-    }
-  }
-
-  void ensure_face_scratch()
-  {
-    if (ftmp_.empty())
-    {
-      const unsigned int m = std::max(n_, nq_);
-      ftmp_.resize(m * m);
-    }
-  }
-
-  bool even_odd_;
-  AlignedVector<VA> tmp1_, tmp2_, ftmp_;
-};
-
-/// The AoSoA batch path: fixed-size even-odd dispatch tables where an
-/// instantiation exists, GenericBackend sweeps otherwise - the pre-refactor
-/// evaluator decision ladder, hence bitwise-identical results.
 template <typename Number>
-class BatchBackend : public GenericBackend<Number>
+void KernelBackend<Number>::ensure_cell_scratch()
 {
-public:
-  using VA = VectorizedArray<Number>;
-  using Base = GenericBackend<Number>;
-  using Base::ensure_cell_scratch;
-  using Base::ensure_face_scratch;
-  using Base::ftmp_;
-  using Base::shape_;
-  using Base::tmp1_;
-  using Base::tmp2_;
-
-  BatchBackend(const ShapeInfo<Number> &shape, const bool use_even_odd)
-    : Base(shape, use_even_odd),
-      // the fixed-size tables build on the even-odd decomposition; the
-      // ablation flag therefore bypasses them like the evaluators used to
-      cell_(use_even_odd
-              ? lookup_cell_kernels<Number>(shape.degree, shape.n_q_1d)
-              : nullptr),
-      face_(lookup_face_kernels<Number>(shape.degree, shape.n_q_1d))
-  {
-  }
-
-  KernelBackendType type() const override { return KernelBackendType::batch; }
-
-  void interpolate_to_quad(const VA *dofs, VA *vq) override
-  {
-    if (cell_)
-    {
-      ensure_cell_scratch();
-      cell_->interpolate_to_quad(shape_, dofs, vq, tmp1_.data(),
-                                 tmp2_.data());
-      return;
-    }
-    Base::interpolate_to_quad(dofs, vq);
-  }
-
-  void integrate_from_quad(const VA *vq, VA *dofs) override
-  {
-    if (cell_)
-    {
-      ensure_cell_scratch();
-      cell_->integrate_from_quad(shape_, vq, dofs, tmp1_.data(),
-                                 tmp2_.data());
-      return;
-    }
-    Base::integrate_from_quad(vq, dofs);
-  }
-
-  void collocation_gradients(const VA *vq, VA *gq) override
-  {
-    if (cell_)
-    {
-      cell_->collocation_gradients(shape_, vq, gq);
-      return;
-    }
-    Base::collocation_gradients(vq, gq);
-  }
-
-  void collocation_gradients_transpose(const VA *gq, VA *vq,
-                                       const bool overwrite) override
-  {
-    if (cell_)
-    {
-      cell_->collocation_gradients_transpose(shape_, gq, vq, overwrite);
-      return;
-    }
-    Base::collocation_gradients_transpose(gq, vq, overwrite);
-  }
-
-  void contract_to_face(const Number *v, const VA *dofs, VA *plane,
-                        const unsigned int direction) override
-  {
-    if (face_)
-    {
-      face_->contract_to_face[direction](v, dofs, plane);
-      return;
-    }
-    Base::contract_to_face(v, dofs, plane, direction);
-  }
-
-  void expand_from_face_add(const Number *v, const VA *plane, VA *dofs,
-                            const unsigned int direction) override
-  {
-    if (face_)
-    {
-      face_->expand_from_face_add[direction](v, plane, dofs);
-      return;
-    }
-    Base::expand_from_face_add(v, plane, dofs, direction);
-  }
-
-  void interp_plane(const Number *M0, const Number *M1, const VA *in,
-                    VA *out) override
-  {
-    if (face_)
-    {
-      ensure_face_scratch();
-      face_->interp_plane(M0, M1, in, out, ftmp_.data());
-      return;
-    }
-    Base::interp_plane(M0, M1, in, out);
-  }
-
-  void interp_plane_transpose(const Number *M0, const Number *M1, const VA *in,
-                              VA *out, const bool add) override
-  {
-    if (face_)
-    {
-      ensure_face_scratch();
-      if (add)
-        face_->interp_plane_transpose_add(M0, M1, in, out, ftmp_.data());
-      else
-        face_->interp_plane_transpose(M0, M1, in, out, ftmp_.data());
-      return;
-    }
-    Base::interp_plane_transpose(M0, M1, in, out, add);
-  }
-
-private:
-  const CellKernels<Number> *cell_;
-  const FaceKernels<Number> *face_;
-};
-
-/// Structure-of-arrays device layout: each sum-factorization entry point
-/// transposes the AoSoA batch into lane-major scalar tensors, sweeps every
-/// lane with the scalar stride-templated kernels (plain matrices), and
-/// transposes back. The staging is the host-side marshalling a device
-/// offload performs; keeping it inside the backend preserves the AoSoA
-/// quadrature-point contract of the evaluators.
-template <typename Number>
-class SoABackend : public KernelBackend<Number>
-{
-public:
-  using VA = VectorizedArray<Number>;
-  using Base = KernelBackend<Number>;
-  using Base::n_;
-  using Base::nq_;
-  using Base::shape_;
-  static constexpr unsigned int width = VA::width;
-
-  explicit SoABackend(const ShapeInfo<Number> &shape)
-    : Base(shape),
-      cell_(lookup_soa_cell_kernels<Number>(shape.degree, shape.n_q_1d)),
-      face_(lookup_soa_face_kernels<Number>(shape.degree, shape.n_q_1d))
+  if (tmp1_.empty())
   {
     const unsigned int m = std::max(n_, nq_);
-    cap3_ = m * m * m;
-    cap2_ = m * m;
-    a_.resize(width * cap3_);
-    b_.resize(width * 3 * cap3_);
-    t1_.resize(cap3_);
-    t2_.resize(cap3_);
+    tmp1_.resize(m * m * m);
+    tmp2_.resize(m * m * m);
   }
-
-  KernelBackendType type() const override { return KernelBackendType::soa; }
-
-  void interpolate_to_quad(const VA *dofs, VA *vq) override
-  {
-    const unsigned int n3 = n_ * n_ * n_, nq3 = nq_ * nq_ * nq_;
-    pack(dofs, n3, cap3_, a_.data());
-    for (unsigned int l = 0; l < width; ++l)
-    {
-      const Number *in = a_.data() + l * cap3_;
-      Number *out = b_.data() + l * cap3_;
-      if (cell_)
-        cell_->interpolate_to_quad(shape_, in, out, t1_.data(), t2_.data());
-      else
-      {
-        apply_matrix_1d<false, false>(shape_.values.data(), nq_, n_, in,
-                                      t1_.data(), 0, {{n_, n_, n_}});
-        apply_matrix_1d<false, false>(shape_.values.data(), nq_, n_,
-                                      t1_.data(), t2_.data(), 1,
-                                      {{nq_, n_, n_}});
-        apply_matrix_1d<false, false>(shape_.values.data(), nq_, n_,
-                                      t2_.data(), out, 2, {{nq_, nq_, n_}});
-      }
-    }
-    unpack(b_.data(), nq3, cap3_, vq);
-  }
-
-  void integrate_from_quad(const VA *vq, VA *dofs) override
-  {
-    const unsigned int n3 = n_ * n_ * n_, nq3 = nq_ * nq_ * nq_;
-    pack(vq, nq3, cap3_, a_.data());
-    for (unsigned int l = 0; l < width; ++l)
-    {
-      const Number *in = a_.data() + l * cap3_;
-      Number *out = b_.data() + l * cap3_;
-      if (cell_)
-        cell_->integrate_from_quad(shape_, in, out, t1_.data(), t2_.data());
-      else
-      {
-        apply_matrix_1d<true, false>(shape_.values.data(), nq_, n_, in,
-                                     t1_.data(), 2, {{nq_, nq_, nq_}});
-        apply_matrix_1d<true, false>(shape_.values.data(), nq_, n_,
-                                     t1_.data(), t2_.data(), 1,
-                                     {{nq_, nq_, n_}});
-        apply_matrix_1d<true, false>(shape_.values.data(), nq_, n_,
-                                     t2_.data(), out, 0, {{nq_, n_, n_}});
-      }
-    }
-    unpack(b_.data(), n3, cap3_, dofs);
-  }
-
-  void collocation_gradients(const VA *vq, VA *gq) override
-  {
-    const unsigned int nq3 = nq_ * nq_ * nq_;
-    pack(vq, nq3, cap3_, a_.data());
-    for (unsigned int l = 0; l < width; ++l)
-    {
-      const Number *in = a_.data() + l * cap3_;
-      Number *out = b_.data() + l * 3 * nq3;
-      if (cell_)
-        cell_->collocation_gradients(shape_, in, out);
-      else
-        for (unsigned int d = 0; d < 3; ++d)
-          apply_matrix_1d<false, false>(shape_.grad_colloc.data(), nq_, nq_,
-                                        in, out + d * nq3, d,
-                                        {{nq_, nq_, nq_}});
-    }
-    for (unsigned int d = 0; d < 3; ++d)
-      unpack(b_.data() + d * nq3, nq3, 3 * nq3, gq + d * nq3);
-  }
-
-  void collocation_gradients_transpose(const VA *gq, VA *vq,
-                                       const bool overwrite) override
-  {
-    const unsigned int nq3 = nq_ * nq_ * nq_;
-    for (unsigned int d = 0; d < 3; ++d)
-      pack(gq + d * nq3, nq3, 3 * nq3, b_.data() + d * nq3);
-    if (!overwrite)
-      pack(vq, nq3, cap3_, a_.data());
-    for (unsigned int l = 0; l < width; ++l)
-    {
-      const Number *in = b_.data() + l * 3 * nq3;
-      Number *out = a_.data() + l * cap3_;
-      if (cell_)
-        cell_->collocation_gradients_transpose(shape_, in, out, overwrite);
-      else
-        for (unsigned int d = 0; d < 3; ++d)
-        {
-          if (overwrite && d == 0)
-            apply_matrix_1d<true, false>(shape_.grad_colloc.data(), nq_, nq_,
-                                         in + d * nq3, out, d,
-                                         {{nq_, nq_, nq_}});
-          else
-            apply_matrix_1d<true, true>(shape_.grad_colloc.data(), nq_, nq_,
-                                        in + d * nq3, out, d,
-                                        {{nq_, nq_, nq_}});
-        }
-    }
-    unpack(a_.data(), nq3, cap3_, vq);
-  }
-
-  void contract_to_face(const Number *v, const VA *dofs, VA *plane,
-                        const unsigned int direction) override
-  {
-    const unsigned int n3 = n_ * n_ * n_, n2 = n_ * n_;
-    pack(dofs, n3, cap3_, a_.data());
-    for (unsigned int l = 0; l < width; ++l)
-    {
-      const Number *in = a_.data() + l * cap3_;
-      Number *out = b_.data() + l * cap2_;
-      if (face_)
-        face_->contract_to_face[direction](v, in, out);
-      else
-        dgflow::contract_to_face<false>(v, n_, in, out, direction,
-                                        {{n_, n_, n_}});
-    }
-    unpack(b_.data(), n2, cap2_, plane);
-  }
-
-  void expand_from_face_add(const Number *v, const VA *plane, VA *dofs,
-                            const unsigned int direction) override
-  {
-    const unsigned int n3 = n_ * n_ * n_, n2 = n_ * n_;
-    pack(plane, n2, cap2_, b_.data());
-    pack(dofs, n3, cap3_, a_.data());
-    for (unsigned int l = 0; l < width; ++l)
-    {
-      const Number *in = b_.data() + l * cap2_;
-      Number *out = a_.data() + l * cap3_;
-      if (face_)
-        face_->expand_from_face_add[direction](v, in, out);
-      else
-        dgflow::expand_from_face<true>(v, n_, in, out, direction,
-                                       {{n_, n_, n_}});
-    }
-    unpack(a_.data(), n3, cap3_, dofs);
-  }
-
-  void interp_plane(const Number *M0, const Number *M1, const VA *in,
-                    VA *out) override
-  {
-    const unsigned int n2 = n_ * n_, nq2 = nq_ * nq_;
-    pack(in, n2, cap2_, a_.data());
-    for (unsigned int l = 0; l < width; ++l)
-    {
-      const Number *pin = a_.data() + l * cap2_;
-      Number *pout = b_.data() + l * cap2_;
-      if (face_)
-        face_->interp_plane(M0, M1, pin, pout, t1_.data());
-      else
-      {
-        apply_matrix_2d<false, false>(M0, nq_, n_, pin, t1_.data(), 0,
-                                      {{n_, n_}});
-        apply_matrix_2d<false, false>(M1, nq_, n_, t1_.data(), pout, 1,
-                                      {{nq_, n_}});
-      }
-    }
-    unpack(b_.data(), nq2, cap2_, out);
-  }
-
-  void interp_plane_transpose(const Number *M0, const Number *M1, const VA *in,
-                              VA *out, const bool add) override
-  {
-    const unsigned int n2 = n_ * n_, nq2 = nq_ * nq_;
-    pack(in, nq2, cap2_, a_.data());
-    if (add)
-      pack(out, n2, cap2_, b_.data());
-    for (unsigned int l = 0; l < width; ++l)
-    {
-      const Number *pin = a_.data() + l * cap2_;
-      Number *pout = b_.data() + l * cap2_;
-      if (face_)
-      {
-        if (add)
-          face_->interp_plane_transpose_add(M0, M1, pin, pout, t1_.data());
-        else
-          face_->interp_plane_transpose(M0, M1, pin, pout, t1_.data());
-      }
-      else
-      {
-        apply_matrix_2d<true, false>(M1, nq_, n_, pin, t1_.data(), 1,
-                                     {{nq_, nq_}});
-        if (add)
-          apply_matrix_2d<true, true>(M0, nq_, n_, t1_.data(), pout, 0,
-                                      {{nq_, n_}});
-        else
-          apply_matrix_2d<true, false>(M0, nq_, n_, t1_.data(), pout, 0,
-                                       {{nq_, n_}});
-      }
-    }
-    unpack(b_.data(), n2, cap2_, out);
-  }
-
-private:
-  /// AoSoA -> lane-major: dst[l * lane_stride + i] = src[i][l].
-  void pack(const VA *src, const unsigned int count,
-            const unsigned int lane_stride, Number *dst) const
-  {
-    for (unsigned int l = 0; l < width; ++l)
-    {
-      Number *DGFLOW_RESTRICT out = dst + l * lane_stride;
-      for (unsigned int i = 0; i < count; ++i)
-        out[i] = src[i][l];
-    }
-  }
-
-  /// lane-major -> AoSoA: dst[i][l] = src[l * lane_stride + i].
-  void unpack(const Number *src, const unsigned int count,
-              const unsigned int lane_stride, VA *dst) const
-  {
-    for (unsigned int l = 0; l < width; ++l)
-    {
-      const Number *DGFLOW_RESTRICT in = src + l * lane_stride;
-      for (unsigned int i = 0; i < count; ++i)
-        dst[i][l] = in[i];
-    }
-  }
-
-  const SoACellKernels<Number> *cell_;
-  const SoAFaceKernels<Number> *face_;
-  unsigned int cap3_, cap2_; ///< per-lane strides of the staging buffers
-  AlignedVector<Number> a_, b_, t1_, t2_;
-};
-
-} // namespace internal
+}
 
 template <typename Number>
-std::unique_ptr<KernelBackend<Number>>
-make_kernel_backend(const KernelBackendType type,
-                    const ShapeInfo<Number> &shape, const bool use_even_odd)
+void KernelBackend<Number>::ensure_face_scratch()
 {
-  switch (type)
+  if (ftmp_.empty())
   {
-    case KernelBackendType::batch:
-      return std::make_unique<internal::BatchBackend<Number>>(shape,
-                                                              use_even_odd);
-    case KernelBackendType::soa:
-      return std::make_unique<internal::SoABackend<Number>>(shape);
-    default:
-      return std::make_unique<internal::GenericBackend<Number>>(shape,
-                                                                use_even_odd);
+    const unsigned int m = std::max(n_, nq_);
+    ftmp_.resize(m * m);
   }
+}
+
+template <typename Number>
+void KernelBackend<Number>::interpolate_to_quad(const VA *dofs, VA *vq)
+{
+  ensure_cell_scratch();
+  if (cell_)
+  {
+    cell_->interpolate_to_quad(shape_, dofs, vq, tmp1_.data(), tmp2_.data());
+    return;
+  }
+  if (even_odd_)
+  {
+    apply_matrix_1d_evenodd<false, false>(
+      shape_.values_eo_e.data(), shape_.values_eo_o.data(), nq_, n_, 1, dofs,
+      tmp1_.data(), 0, {{n_, n_, n_}});
+    apply_matrix_1d_evenodd<false, false>(
+      shape_.values_eo_e.data(), shape_.values_eo_o.data(), nq_, n_, 1,
+      tmp1_.data(), tmp2_.data(), 1, {{nq_, n_, n_}});
+    apply_matrix_1d_evenodd<false, false>(
+      shape_.values_eo_e.data(), shape_.values_eo_o.data(), nq_, n_, 1,
+      tmp2_.data(), vq, 2, {{nq_, nq_, n_}});
+    return;
+  }
+  apply_matrix_1d<false, false>(shape_.values.data(), nq_, n_, dofs,
+                                tmp1_.data(), 0, {{n_, n_, n_}});
+  apply_matrix_1d<false, false>(shape_.values.data(), nq_, n_, tmp1_.data(),
+                                tmp2_.data(), 1, {{nq_, n_, n_}});
+  apply_matrix_1d<false, false>(shape_.values.data(), nq_, n_, tmp2_.data(),
+                                vq, 2, {{nq_, nq_, n_}});
+}
+
+template <typename Number>
+void KernelBackend<Number>::integrate_from_quad(const VA *vq, VA *dofs)
+{
+  ensure_cell_scratch();
+  if (cell_)
+  {
+    cell_->integrate_from_quad(shape_, vq, dofs, tmp1_.data(), tmp2_.data());
+    return;
+  }
+  if (even_odd_)
+  {
+    apply_matrix_1d_evenodd<true, false>(
+      shape_.values_eo_e.data(), shape_.values_eo_o.data(), nq_, n_, 1, vq,
+      tmp1_.data(), 2, {{nq_, nq_, nq_}});
+    apply_matrix_1d_evenodd<true, false>(
+      shape_.values_eo_e.data(), shape_.values_eo_o.data(), nq_, n_, 1,
+      tmp1_.data(), tmp2_.data(), 1, {{nq_, nq_, n_}});
+    apply_matrix_1d_evenodd<true, false>(
+      shape_.values_eo_e.data(), shape_.values_eo_o.data(), nq_, n_, 1,
+      tmp2_.data(), dofs, 0, {{nq_, n_, n_}});
+    return;
+  }
+  apply_matrix_1d<true, false>(shape_.values.data(), nq_, n_, vq,
+                               tmp1_.data(), 2, {{nq_, nq_, nq_}});
+  apply_matrix_1d<true, false>(shape_.values.data(), nq_, n_, tmp1_.data(),
+                               tmp2_.data(), 1, {{nq_, nq_, n_}});
+  apply_matrix_1d<true, false>(shape_.values.data(), nq_, n_, tmp2_.data(),
+                               dofs, 0, {{nq_, n_, n_}});
+}
+
+template <typename Number>
+void KernelBackend<Number>::collocation_gradients(const VA *vq, VA *gq)
+{
+  if (cell_)
+  {
+    cell_->collocation_gradients(shape_, vq, gq);
+    return;
+  }
+  const unsigned int nqp = nq_ * nq_ * nq_;
+  for (unsigned int d = 0; d < 3; ++d)
+  {
+    if (even_odd_)
+      apply_matrix_1d_evenodd<false, false>(
+        shape_.grad_colloc_eo_e.data(), shape_.grad_colloc_eo_o.data(), nq_,
+        nq_, -1, vq, gq + d * nqp, d, {{nq_, nq_, nq_}});
+    else
+      apply_matrix_1d<false, false>(shape_.grad_colloc.data(), nq_, nq_, vq,
+                                    gq + d * nqp, d, {{nq_, nq_, nq_}});
+  }
+}
+
+template <typename Number>
+void KernelBackend<Number>::collocation_gradients_transpose(
+  const VA *gq, VA *vq, const bool overwrite)
+{
+  if (cell_)
+  {
+    cell_->collocation_gradients_transpose(shape_, gq, vq, overwrite);
+    return;
+  }
+  const unsigned int nqp = nq_ * nq_ * nq_;
+  for (unsigned int d = 0; d < 3; ++d)
+  {
+    // D^T accumulates into the value array; with overwrite, the first sweep
+    // overwrites instead (no value contributions were submitted)
+    const VA *g = gq + d * nqp;
+    if (even_odd_)
+    {
+      if (overwrite && d == 0)
+        apply_matrix_1d_evenodd<true, false>(
+          shape_.grad_colloc_eo_e.data(), shape_.grad_colloc_eo_o.data(), nq_,
+          nq_, -1, g, vq, d, {{nq_, nq_, nq_}});
+      else
+        apply_matrix_1d_evenodd<true, true>(
+          shape_.grad_colloc_eo_e.data(), shape_.grad_colloc_eo_o.data(), nq_,
+          nq_, -1, g, vq, d, {{nq_, nq_, nq_}});
+    }
+    else
+    {
+      if (overwrite && d == 0)
+        apply_matrix_1d<true, false>(shape_.grad_colloc.data(), nq_, nq_, g,
+                                     vq, d, {{nq_, nq_, nq_}});
+      else
+        apply_matrix_1d<true, true>(shape_.grad_colloc.data(), nq_, nq_, g,
+                                    vq, d, {{nq_, nq_, nq_}});
+    }
+  }
+}
+
+template <typename Number>
+void KernelBackend<Number>::contract_to_face(const Number *v, const VA *dofs,
+                                             VA *plane,
+                                             const unsigned int direction)
+{
+  if (face_)
+  {
+    face_->contract_to_face[direction](v, dofs, plane);
+    return;
+  }
+  dgflow::contract_to_face<false>(v, n_, dofs, plane, direction,
+                                  {{n_, n_, n_}});
+}
+
+template <typename Number>
+void KernelBackend<Number>::expand_from_face_add(const Number *v,
+                                                 const VA *plane, VA *dofs,
+                                                 const unsigned int direction)
+{
+  if (face_)
+  {
+    face_->expand_from_face_add[direction](v, plane, dofs);
+    return;
+  }
+  dgflow::expand_from_face<true>(v, n_, plane, dofs, direction,
+                                 {{n_, n_, n_}});
+}
+
+template <typename Number>
+void KernelBackend<Number>::interp_plane(const Number *M0, const Number *M1,
+                                         const VA *in, VA *out)
+{
+  ensure_face_scratch();
+  if (face_)
+  {
+    face_->interp_plane(M0, M1, in, out, ftmp_.data());
+    return;
+  }
+  apply_matrix_2d<false, false>(M0, nq_, n_, in, ftmp_.data(), 0, {{n_, n_}});
+  apply_matrix_2d<false, false>(M1, nq_, n_, ftmp_.data(), out, 1,
+                                {{nq_, n_}});
+}
+
+template <typename Number>
+void KernelBackend<Number>::interp_plane_transpose(const Number *M0,
+                                                   const Number *M1,
+                                                   const VA *in, VA *out,
+                                                   const bool add)
+{
+  ensure_face_scratch();
+  if (face_)
+  {
+    if (add)
+      face_->interp_plane_transpose_add(M0, M1, in, out, ftmp_.data());
+    else
+      face_->interp_plane_transpose(M0, M1, in, out, ftmp_.data());
+    return;
+  }
+  apply_matrix_2d<true, false>(M1, nq_, n_, in, ftmp_.data(), 1,
+                               {{nq_, nq_}});
+  if (add)
+    apply_matrix_2d<true, true>(M0, nq_, n_, ftmp_.data(), out, 0,
+                                {{nq_, n_}});
+  else
+    apply_matrix_2d<true, false>(M0, nq_, n_, ftmp_.data(), out, 0,
+                                 {{nq_, n_}});
 }
 
 } // namespace dgflow

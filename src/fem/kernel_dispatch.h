@@ -72,48 +72,6 @@ struct FaceKernels
                                      const VA *in, VA *out, VA *tmp);
 };
 
-/// Scalar (single-lane) cell kernels of the SoA backend: identical role to
-/// CellKernels, but each call sweeps ONE lane's contiguous scalar tensor in
-/// the lane-major structure-of-arrays staging area, using the plain (full,
-/// non-even-odd) shape matrices. The fixed-extent template parameters double
-/// as compile-time strides, which is the form a device kernel generator
-/// consumes (fem/kernel_backend.h).
-template <typename Number>
-struct SoACellKernels
-{
-  void (*interpolate_to_quad)(const ShapeInfo<Number> &shape,
-                              const Number *dofs, Number *values_quad,
-                              Number *tmp1, Number *tmp2);
-  void (*integrate_from_quad)(const ShapeInfo<Number> &shape,
-                              const Number *values_quad, Number *dofs,
-                              Number *tmp1, Number *tmp2);
-  void (*collocation_gradients)(const ShapeInfo<Number> &shape,
-                                const Number *values_quad,
-                                Number *gradients_quad);
-  void (*collocation_gradients_transpose)(const ShapeInfo<Number> &shape,
-                                          const Number *gradients_quad,
-                                          Number *values_quad,
-                                          const bool overwrite);
-};
-
-/// Scalar (single-lane) face kernels of the SoA backend; the 1D matrices
-/// stay runtime arguments exactly as in FaceKernels.
-template <typename Number>
-struct SoAFaceKernels
-{
-  void (*contract_to_face[3])(const Number *v, const Number *dofs,
-                              Number *plane);
-  void (*expand_from_face_add[3])(const Number *v, const Number *plane,
-                                  Number *dofs);
-  void (*interp_plane)(const Number *M0, const Number *M1, const Number *in,
-                       Number *out, Number *tmp);
-  void (*interp_plane_transpose)(const Number *M0, const Number *M1,
-                                 const Number *in, Number *out, Number *tmp);
-  void (*interp_plane_transpose_add)(const Number *M0, const Number *M1,
-                                     const Number *in, Number *out,
-                                     Number *tmp);
-};
-
 /// Returns the specialized cell-kernel table for (degree, n_q_1d), or
 /// nullptr when no instantiation exists or the fast path is disabled (the
 /// process default backend of fem/kernel_backend.h is generic).
@@ -126,17 +84,5 @@ const CellKernels<Number> *lookup_cell_kernels(const unsigned int degree,
 template <typename Number>
 const FaceKernels<Number> *lookup_face_kernels(const unsigned int degree,
                                                const unsigned int n_q_1d);
-
-/// SoA-backend analogs of lookup_cell_kernels / lookup_face_kernels; same
-/// size coverage (DGFLOW_KERNEL_DISPATCH_SIZES), same gating on the fast
-/// path (the ABFT table guard routes around corrupted tables by disabling
-/// all fixed-size dispatch, whichever backend owns it).
-template <typename Number>
-const SoACellKernels<Number> *
-lookup_soa_cell_kernels(const unsigned int degree, const unsigned int n_q_1d);
-
-template <typename Number>
-const SoAFaceKernels<Number> *
-lookup_soa_face_kernels(const unsigned int degree, const unsigned int n_q_1d);
 
 } // namespace dgflow

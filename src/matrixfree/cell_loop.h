@@ -204,9 +204,6 @@ void cell_face_loop(const MatrixFree<Number> &mf, VectorType &dst,
   int rank = -1;
   if constexpr (distributed)
     rank = src.rank();
-  // which backend's kernels this traversal drives (evaluators constructed by
-  // make_kernels resolve it from the same MatrixFree)
-  DGFLOW_PROF_GAUGE("mf_backend", double(static_cast<int>(mf.kernel_backend())));
   const auto &part = mf.thread_partition(rank);
   if (part.chunks.size() > 1)
   {
@@ -284,7 +281,6 @@ template <typename Number, typename VectorType, typename KernelFactory>
 void cell_only_loop(const MatrixFree<Number> &mf, VectorType &dst,
                     KernelFactory &&make_cell)
 {
-  DGFLOW_PROF_GAUGE("mf_backend", double(static_cast<int>(mf.kernel_backend())));
   const auto &part = mf.thread_partition(-1);
   if (part.chunks.size() > 1)
   {

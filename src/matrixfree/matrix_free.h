@@ -17,7 +17,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/aligned_vector.h"
@@ -25,7 +24,6 @@
 #include "common/tensor.h"
 #include "common/vector.h"
 #include "concurrency/thread_pool.h"
-#include "fem/kernel_backend.h"
 #include "fem/shape_info.h"
 #include "fem/tensor_kernels.h"
 #include "instrumentation/profiler.h"
@@ -93,10 +91,6 @@ public:
     /// (cell_loop.h); 0 = size from the process pool (DGFLOW_THREADS via
     /// concurrency::ThreadPool). 1 forces the serial loop bodies.
     unsigned int n_threads = 0;
-    /// kernel backend the evaluators of this MatrixFree use (see
-    /// fem/kernel_backend.h). Unset = resolve from the DGFLOW_BACKEND
-    /// environment variable, falling back to the process default (batch).
-    std::optional<KernelBackendType> backend;
   };
 
   struct CellBatch
@@ -476,11 +470,6 @@ public:
     return (vector_bytes + metric_bytes) / n;
   }
 
-  /// Kernel backend resolved at reinit (AdditionalData::backend, else
-  /// DGFLOW_BACKEND, else the process default). Evaluators constructed on
-  /// this MatrixFree stage their sum-factorization sweeps through it.
-  KernelBackendType kernel_backend() const { return backend_; }
-
   double penalty_safety() const { return penalty_safety_; }
 
   double penalty_scaling(const unsigned int space) const
@@ -509,7 +498,6 @@ private:
   double penalty_safety_ = 2.;
   std::vector<double> penalty_scaling_;
   bool compress_geometry_ = true;
-  KernelBackendType backend_ = KernelBackendType::batch;
   std::vector<GeometryType> cell_geometry_type_;
 
   std::vector<CellBatch> cell_batches_;
@@ -578,11 +566,6 @@ void MatrixFree<Number>::reinit(const Mesh &mesh, const Geometry &geometry,
                        ? data.n_threads
                        : concurrency::ThreadPool::instance().n_threads();
 
-  // strongest selector wins: explicit AdditionalData::backend, then a strict
-  // DGFLOW_BACKEND parse, then the process default of kernel_backend.h
-  backend_ = data.backend ? *data.backend
-                          : kernel_backend_from_env(default_kernel_backend());
-
   build_cell_batches();
   build_face_batches();
   build_thread_partitions();
@@ -603,7 +586,6 @@ void MatrixFree<Number>::reinit(const Mesh &mesh, const Geometry &geometry,
                     static_cast<long long>(metric_bytes_full()));
   DGFLOW_PROF_GAUGE("mf_metric_compression", metric_compression_ratio());
   DGFLOW_PROF_GAUGE("mf_face_lane_fill", face_lane_fill_fraction());
-  DGFLOW_PROF_GAUGE("mf_backend", double(static_cast<int>(backend_)));
 }
 
 template <typename Number>
